@@ -27,9 +27,9 @@ func TestFleetSLORollups(t *testing.T) {
 	}
 
 	f.ObserveRound(1, 10*time.Millisecond, []NodeObservation{
-		obsFor("a", 2*time.Millisecond, 30, 40, stA, true),
-		obsFor("b", 3*time.Millisecond, 25, 35, stB, true),
-		obsFor("c", 1*time.Millisecond, 10, 20, nil, false), // no services: silent
+		obsFor("a", 2*time.Millisecond, 30, 40, stA),
+		obsFor("b", 3*time.Millisecond, 25, 35, stB),
+		obsFor("c", 1*time.Millisecond, 10, 20, nil), // no services: silent
 	})
 
 	snap := f.Snapshot()
@@ -78,7 +78,7 @@ func TestFleetSLOAttainmentDefaultsToOne(t *testing.T) {
 	reg := metrics.NewRegistry()
 	f := NewFleet(100, reg)
 	f.ObserveRound(1, time.Millisecond, []NodeObservation{
-		obsFor("a", time.Millisecond, 10, 20, &powerapi.NodeStatus{Node: "a"}, true),
+		obsFor("a", time.Millisecond, 10, 20, &powerapi.NodeStatus{Node: "a"}),
 	})
 	if v := reg.Values()["fleet_slo_attainment"]; v != 1 {
 		t.Errorf("attainment with no services = %v, want 1", v)

@@ -19,12 +19,8 @@ type HTTPNode struct {
 	client  *powerapi.Client
 	leaseID atomic.Uint64
 
-	// collect enables piggybacked metrics snapshots on report RPCs.
-	// synced tracks whether the node has a baseline for delta encoding:
-	// the first report (and the first after any error) requests a full
-	// snapshot, steady state requests deltas.
+	// collect attaches the node's metrics snapshot to every report.
 	collect bool
-	synced  atomic.Bool
 
 	// follower, when non-nil, switches status RPCs to the delta-encoded
 	// stream: steady-state reports carry only changed fields, and any
@@ -47,8 +43,8 @@ func (h *HTTPNode) WithHTTPClient(c *http.Client) *HTTPNode {
 }
 
 // CollectMetrics makes every report RPC piggyback the node's metrics
-// snapshot for fleet aggregation: full on first contact and after any
-// transport error, delta-encoded once a baseline exists.
+// snapshot for fleet aggregation. With DeltaStatus the snapshot is one
+// more status field, so only the series that changed travel.
 func (h *HTTPNode) CollectMetrics() *HTTPNode {
 	h.collect = true
 	return h
@@ -58,8 +54,9 @@ func (h *HTTPNode) CollectMetrics() *HTTPNode {
 // (see powerapi.StatusFollower): after the first full snapshot the node
 // replies with only the fields that changed since the last report,
 // which is what keeps a thousand-leaf tier tree's uplink traffic flat.
-// Deltas are stateful on the server side, so enable this only when this
-// transport is the node's sole status poller.
+// Deltas are stateful on the server side: with a second delta poller
+// on the same node, every report pays a resync, so keep this transport
+// the node's only one.
 func (h *HTTPNode) DeltaStatus() *HTTPNode {
 	h.follower = &powerapi.StatusFollower{}
 	return h
@@ -68,37 +65,24 @@ func (h *HTTPNode) DeltaStatus() *HTTPNode {
 func (h *HTTPNode) Name() string { return h.name }
 
 func (h *HTTPNode) Report(ctx context.Context) (Report, error) {
-	mode := powerapi.MetricsNone
-	full := false
-	if h.collect {
-		if full = !h.synced.Load(); full {
-			mode = powerapi.MetricsFull
-		} else {
-			mode = powerapi.MetricsDelta
-		}
-	}
 	var st *powerapi.NodeStatus
 	var err error
-	if h.follower != nil {
-		st, err = h.client.FollowStatus(ctx, h.follower, mode)
-	} else {
-		st, err = h.client.StatusWithMetrics(ctx, mode)
+	switch {
+	case h.follower != nil:
+		st, err = h.client.FollowStatus(ctx, h.follower, h.collect)
+	case h.collect:
+		st, err = h.client.StatusWithMetrics(ctx)
+	default:
+		st, err = h.client.Status(ctx)
 	}
 	if err != nil {
-		// The reply (and any delta it carried) is lost; resync with a
-		// full snapshot on the next report.
-		h.synced.Store(false)
 		return Report{}, err
 	}
-	if h.collect {
-		h.synced.Store(true)
-	}
 	return Report{
-		Power:       units.Watts(st.PowerWatts),
-		Limit:       units.Watts(st.LimitWatts),
-		Max:         units.Watts(st.MaxWatts),
-		Status:      st,
-		MetricsFull: full,
+		Power:  units.Watts(st.PowerWatts),
+		Limit:  units.Watts(st.LimitWatts),
+		Max:    units.Watts(st.MaxWatts),
+		Status: st,
 	}, nil
 }
 

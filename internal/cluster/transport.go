@@ -23,9 +23,6 @@ type Report struct {
 	// aggregation reads app shares and metrics from it; the water-fill
 	// never does. Nil for transports that only know power numbers.
 	Status *powerapi.NodeStatus
-	// MetricsFull marks Status.Metrics as a complete snapshot rather
-	// than a delta against the previous report.
-	MetricsFull bool
 }
 
 // Grant is one budget lease the coordinator extends to a node: the cap to

@@ -68,14 +68,6 @@ type PhaseReporter interface {
 	LastPhases() daemon.PhaseLatencies
 }
 
-// GrantForwarder is implemented by backends that can route a lease
-// grant to a named descendant — mid-tier coordinators that know their
-// children. Batched grant waves use it to multiplex one wave through a
-// single endpoint.
-type GrantForwarder interface {
-	ForwardGrant(ctx context.Context, node string, g *LeaseGrant) (*LeaseAck, error)
-}
-
 // AgentConfig configures a node-side control-plane agent.
 type AgentConfig struct {
 	// Name identifies this node to coordinators and operators.
@@ -168,19 +160,11 @@ type Agent struct {
 	mReconfig *metrics.Counter
 	mLeaseW   *metrics.Gauge
 
-	// Metrics-snapshot state for fleet aggregation: lastSent is the
-	// previous snapshot served, against which deltas are computed.
-	// Guarded by its own mutex so a slow registry walk never holds the
-	// lease lock.
-	metricsMu  sync.Mutex
-	metricsRev uint64
-	lastSent   map[string]float64
-
-	// Delta-status encoder state: the last full frame served in delta
-	// mode, the revision counter, and this incarnation's epoch. Like the
-	// metrics piggyback, deltas are relative to the last frame served to
-	// anyone — with several delta pollers, all but one must resync every
-	// time, so point exactly one follower at each agent.
+	// Delta-status encoder state: the last frame served in delta mode,
+	// the revision counter, and this incarnation's epoch. Deltas are
+	// relative to the last frame served to any poller — with several
+	// delta pollers, all but one must resync every time, so point
+	// exactly one follower at each agent.
 	deltaMu    sync.Mutex
 	deltaEpoch uint64
 	deltaRev   uint64
@@ -267,7 +251,6 @@ func (a *Agent) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathPrefix+"status", a.serveStatus)
 	mux.HandleFunc(PathPrefix+"lease", a.serveLease)
-	mux.HandleFunc(PathPrefix+"lease_batch", a.serveLeaseBatch)
 	mux.HandleFunc(PathPrefix+"reconfigure", a.serveReconfigure)
 	mux.HandleFunc(PathPrefix+"drain", a.serveDrain)
 	return mux
@@ -468,31 +451,6 @@ func energyStatus(l *ledger.Ledger) *EnergyStatus {
 	return es
 }
 
-// metricsSnapshot builds the snapshot a ?metrics= status request asked
-// for and advances the delta baseline. Deltas are relative to the last
-// snapshot served to anyone: with several pollers, have all but one use
-// MetricsFull.
-func (a *Agent) metricsSnapshot(mode string) (uint64, map[string]float64) {
-	vals := a.cfg.Metrics.Values()
-	if vals == nil {
-		return 0, nil
-	}
-	a.metricsMu.Lock()
-	defer a.metricsMu.Unlock()
-	a.metricsRev++
-	out := vals
-	if mode == MetricsDelta {
-		out = make(map[string]float64)
-		for k, v := range vals {
-			if old, ok := a.lastSent[k]; !ok || old != v {
-				out[k] = v
-			}
-		}
-	}
-	a.lastSent = vals
-	return a.metricsRev, out
-}
-
 // traceRound records this agent's span tree for one coordinator round:
 // the request handling span plus the daemon's last completed
 // sample→decide→actuate breakdown, anchored after it and linked to the
@@ -532,11 +490,13 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, CodeBadRequest, "status requires GET")
 		return
 	}
-	mode := r.URL.Query().Get("metrics")
-	switch mode {
-	case MetricsNone, MetricsFull, MetricsDelta:
+	withMetrics := false
+	switch m := r.URL.Query().Get("metrics"); m {
+	case "":
+	case "1":
+		withMetrics = true
 	default:
-		writeErr(w, http.StatusBadRequest, CodeBadRequest, "metrics mode %q, want full or delta", mode)
+		writeErr(w, http.StatusBadRequest, CodeBadRequest, "metrics %q, want 1 or unset", m)
 		return
 	}
 	enc := r.URL.Query().Get("status")
@@ -549,8 +509,8 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 	round := queryRound(r)
 	start := a.cfg.Tracer.Now()
 	st := a.Status()
-	if mode != MetricsNone {
-		st.MetricsRev, st.Metrics = a.metricsSnapshot(mode)
+	if withMetrics {
+		st.Metrics = a.cfg.Metrics.Values()
 	}
 	a.traceRound(round, "receive", start)
 	if enc == StatusEncDelta {
@@ -563,82 +523,20 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 
 // statusDelta encodes one delta-mode status frame: a full resync frame
 // when asked for (or when there is nothing to diff against), a
-// changed-fields delta otherwise.
+// changed-fields delta otherwise. st becomes the next baseline as is:
+// Status builds every frame afresh and nothing mutates it once served.
 func (a *Agent) statusDelta(st *NodeStatus, resync bool) *StatusDelta {
 	a.deltaMu.Lock()
 	defer a.deltaMu.Unlock()
-	a.deltaRev++
-	var d *StatusDelta
-	if resync || a.deltaLast == nil {
-		d = &StatusDelta{V: DeltaVersion, Node: st.Node, Full: st}
-	} else {
+	d := &StatusDelta{V: DeltaVersion, Node: st.Node, Full: st}
+	if !resync && a.deltaLast != nil {
 		d = DiffStatus(a.deltaLast, st)
-		d.Base = a.deltaRev - 1
-		d.MetricsRev, d.Metrics = st.MetricsRev, st.Metrics
+		d.Base = a.deltaRev
 	}
-	d.Epoch = a.deltaEpoch
-	d.Rev = a.deltaRev
-	// The stored baseline never holds metrics: they are their own delta
-	// stream and must not be diffed again.
-	a.deltaLast = cloneStatus(st)
-	a.deltaLast.MetricsRev, a.deltaLast.Metrics = 0, nil
+	a.deltaRev++
+	d.Epoch, d.Rev = a.deltaEpoch, a.deltaRev
+	a.deltaLast = st
 	return d
-}
-
-// ApplyBatch applies one grant wave: entries addressed to this agent
-// apply locally; entries addressed to other nodes are routed through
-// the backend when it can forward (a mid-tier coordinator), and fail
-// with unknown_node otherwise. Entry failures ride inside the ack.
-func (a *Agent) ApplyBatch(ctx context.Context, b *GrantBatch) *GrantBatchAck {
-	fwd, _ := a.backend.(GrantForwarder)
-	ack := &GrantBatchAck{Acks: make([]NamedAck, 0, len(b.Grants))}
-	for i := range b.Grants {
-		ng := &b.Grants[i]
-		g := ng.Grant
-		if g.Coordinator == "" {
-			g.Coordinator = b.Coordinator
-		}
-		var (
-			la  *LeaseAck
-			err error
-		)
-		switch {
-		case ng.Node == "" || ng.Node == a.cfg.Name:
-			la, err = a.GrantCtx(ctx, &g)
-		case fwd != nil:
-			la, err = fwd.ForwardGrant(ctx, ng.Node, &g)
-		default:
-			err = &ErrorReply{Code: CodeUnknownNode,
-				Message: fmt.Sprintf("node %s cannot route grants to %q", a.cfg.Name, ng.Node)}
-		}
-		na := NamedAck{Node: ng.Node, Ack: la}
-		if err != nil {
-			na.Ack = nil
-			if er, ok := err.(*ErrorReply); ok {
-				na.Err = er
-			} else {
-				na.Err = &ErrorReply{Code: CodeInternal, Message: err.Error()}
-			}
-		}
-		ack.Acks = append(ack.Acks, na)
-	}
-	return ack
-}
-
-func (a *Agent) serveLeaseBatch(w http.ResponseWriter, r *http.Request) {
-	a.mRequests.With("lease_batch").Inc()
-	msg, round, ok := readMsg(w, r, KindGrantBatch)
-	if !ok {
-		return
-	}
-	start := a.cfg.Tracer.Now()
-	ctx := r.Context()
-	if round != 0 {
-		ctx = WithRound(ctx, round)
-	}
-	ack := a.ApplyBatch(ctx, msg.(*GrantBatch))
-	a.traceRound(round, "grant", start)
-	writeMsgRound(w, http.StatusOK, ack, round)
 }
 
 // Grant applies a budget lease: enforce the granted cap now, fall back to

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 )
@@ -96,27 +97,17 @@ func firstLine(data []byte) string {
 
 // Status fetches the node's control-plane status.
 func (c *Client) Status(ctx context.Context) (*NodeStatus, error) {
-	return c.StatusWithMetrics(ctx, MetricsNone)
+	return c.status(ctx, false)
 }
 
-// Metrics snapshot modes for StatusWithMetrics.
-const (
-	MetricsNone  = ""      // no snapshot (plain status)
-	MetricsFull  = "full"  // every series
-	MetricsDelta = "delta" // only series changed since the agent's last snapshot
-)
+// StatusWithMetrics fetches the node's status with its metrics-registry
+// snapshot attached, for fleet aggregation.
+func (c *Client) StatusWithMetrics(ctx context.Context) (*NodeStatus, error) {
+	return c.status(ctx, true)
+}
 
-// StatusWithMetrics fetches the node's status with a piggybacked
-// metrics snapshot: MetricsFull for every series, MetricsDelta for only
-// what changed since the agent's previous snapshot. Use MetricsFull on
-// first contact and after any transport failure (a lost response also
-// loses the delta it carried), MetricsDelta on the steady path.
-func (c *Client) StatusWithMetrics(ctx context.Context, mode string) (*NodeStatus, error) {
-	path := PathPrefix + "status"
-	if mode != MetricsNone {
-		path += "?metrics=" + mode
-	}
-	reply, err := c.roundTrip(ctx, http.MethodGet, path, nil, KindStatus)
+func (c *Client) status(ctx context.Context, metrics bool) (*NodeStatus, error) {
+	reply, err := c.roundTrip(ctx, http.MethodGet, statusPath(metrics, false, false), nil, KindStatus)
 	if err != nil {
 		return nil, err
 	}
@@ -126,18 +117,32 @@ func (c *Client) StatusWithMetrics(ctx context.Context, mode string) (*NodeStatu
 // StatusEncDelta asks the status endpoint for a delta-encoded frame.
 const StatusEncDelta = "delta"
 
-// StatusDelta fetches one delta-encoded status frame. resync forces a
-// full frame; use it on first contact and whenever the follower lost
-// sync. Most callers want FollowStatus instead.
-func (c *Client) StatusDelta(ctx context.Context, metricsMode string, resync bool) (*StatusDelta, error) {
-	path := PathPrefix + "status?status=" + StatusEncDelta
-	if metricsMode != MetricsNone {
-		path += "&metrics=" + metricsMode
+// statusPath builds a status request: metrics attaches the registry
+// snapshot, delta selects the delta-encoded stream, and resync asks
+// that stream for a full frame.
+func statusPath(metrics, delta, resync bool) string {
+	q := url.Values{}
+	if metrics {
+		q.Set("metrics", "1")
+	}
+	if delta {
+		q.Set("status", StatusEncDelta)
 	}
 	if resync {
-		path += "&resync=1"
+		q.Set("resync", "1")
 	}
-	reply, err := c.roundTrip(ctx, http.MethodGet, path, nil, KindStatusDelta)
+	if len(q) == 0 {
+		return PathPrefix + "status"
+	}
+	return PathPrefix + "status?" + q.Encode()
+}
+
+// StatusDelta fetches one delta-encoded status frame, with the metrics
+// snapshot as one of its fields when metrics is set. resync forces a
+// full frame; use it on first contact and whenever the follower lost
+// sync. Most callers want FollowStatus instead.
+func (c *Client) StatusDelta(ctx context.Context, metrics, resync bool) (*StatusDelta, error) {
+	reply, err := c.roundTrip(ctx, http.MethodGet, statusPath(metrics, true, resync), nil, KindStatusDelta)
 	if err != nil {
 		return nil, err
 	}
@@ -150,9 +155,9 @@ func (c *Client) StatusDelta(ctx context.Context, metricsMode string, resync boo
 // delta frame turns out inapplicable (missed revision, restarted
 // agent, foreign delta version). Transport failures reset the follower
 // — the lost response also lost the delta it carried.
-func (c *Client) FollowStatus(ctx context.Context, f *StatusFollower, metricsMode string) (*NodeStatus, error) {
+func (c *Client) FollowStatus(ctx context.Context, f *StatusFollower, metrics bool) (*NodeStatus, error) {
 	resync := !f.Synced()
-	d, err := c.StatusDelta(ctx, metricsMode, resync)
+	d, err := c.StatusDelta(ctx, metrics, resync)
 	if err != nil {
 		f.Reset()
 		return nil, err
@@ -165,21 +170,12 @@ func (c *Client) FollowStatus(ctx context.Context, f *StatusFollower, metricsMod
 		return nil, err
 	}
 	// The delta chain broke; one full frame re-anchors it.
-	d, err = c.StatusDelta(ctx, metricsMode, true)
+	d, err = c.StatusDelta(ctx, metrics, true)
 	if err != nil {
 		f.Reset()
 		return nil, err
 	}
 	return f.Apply(d)
-}
-
-// LeaseBatch applies one grant wave through the node's batch endpoint.
-func (c *Client) LeaseBatch(ctx context.Context, b *GrantBatch) (*GrantBatchAck, error) {
-	reply, err := c.roundTrip(ctx, http.MethodPost, PathPrefix+"lease_batch", b, KindGrantBatchAck)
-	if err != nil {
-		return nil, err
-	}
-	return reply.(*GrantBatchAck), nil
 }
 
 // Lease extends a budget grant to the node.

@@ -4,14 +4,14 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
-	"slices"
+	"strings"
 	"sync"
 )
 
 // DeltaVersion is the version of the delta-encoded status format. A
 // receiver that sees any other value treats the frame as undecodable
 // and resynchronizes with a full frame.
-const DeltaVersion = 1
+const DeltaVersion = 2
 
 // TierStatus rides a NodeStatus when the "node" is really a mid-tier
 // coordinator (a row or building) presenting its subtree as one
@@ -37,13 +37,17 @@ type TierStatus struct {
 // StatusDelta is a delta-encoded NodeStatus: only the fields that
 // changed since the revision named by Base travel. It exists because a
 // thousand-node fleet polls status every round, and most of a frame
-// (policy, max watts, app specs, fallback) is static round to round.
+// (policy, max watts, app specs, fallback, most metric series) is
+// static round to round.
 //
 // The encoding is stateful per server: Rev increments on every frame
 // served and Epoch identifies the server incarnation, so a receiver
 // can always tell a frame it must not apply (missed revision, restarted
 // server, foreign version) from one it can. A frame with Full set is a
 // resynchronization point carrying the complete status.
+//
+// The codec walks the NodeStatus declaration by reflection, so a field
+// added there travels in deltas with no change here.
 type StatusDelta struct {
 	// V is the delta-format version (DeltaVersion).
 	V    int    `json:"v"`
@@ -59,115 +63,168 @@ type StatusDelta struct {
 	Rev  uint64 `json:"rev"`
 	Base uint64 `json:"base,omitempty"`
 
-	// Full, when set, is a complete status frame (a resync point); all
-	// the delta fields below are empty.
+	// Full, when set, is a complete status frame (a resync point), and
+	// Zero and Set are empty.
 	Full *NodeStatus `json:"full,omitempty"`
 
-	// Changed scalar fields; nil means unchanged.
-	Policy        *string  `json:"policy,omitempty"`
-	LimitWatts    *float64 `json:"limit_watts,omitempty"`
-	PowerWatts    *float64 `json:"power_watts,omitempty"`
-	MaxWatts      *float64 `json:"max_watts,omitempty"`
-	FallbackWatts *float64 `json:"fallback_watts,omitempty"`
-	Iterations    *int     `json:"iterations,omitempty"`
-	Draining      *bool    `json:"draining,omitempty"`
+	// Zero names, by JSON name, the fields to reset to their zero value
+	// before Set applies: fields that became empty, and series maps
+	// that lost a series and so travel whole. An unknown name is
+	// refused, never skipped.
+	Zero []string `json:"zero,omitempty"`
 
-	// Composite fields are replaced wholesale when present; a field
-	// that became empty is named in Clear instead.
-	Lease  *LeaseInfo    `json:"lease,omitempty"`
-	Apps   []AppShare    `json:"apps,omitempty"`
-	Energy *EnergyStatus `json:"energy,omitempty"`
-	Tier   *TierStatus   `json:"tier,omitempty"`
-
-	// Clear names composite fields ("lease", "apps", "energy", "tier")
-	// that were present at Base and are gone at Rev. An unrecognized
-	// name is a decode error (and so a resync), not a silent skip.
-	Clear []string `json:"clear,omitempty"`
-
-	// Metrics snapshots are already delta-encoded by the metrics
-	// piggyback (MetricsRev); they pass through per-frame, not
-	// accumulated into the follower's state.
-	MetricsRev uint64             `json:"metrics_rev,omitempty"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	// Set carries the changed fields that are not empty; its empty
+	// fields mean "unchanged". A series map in Set (metrics) is merged
+	// into the receiver's map, so a map that only gained or changed
+	// series sends just those series; every other field is replaced.
+	Set *NodeStatus `json:"set,omitempty"`
 }
 
-// cloneStatus deep-copies a status frame so follower state can never
-// alias caller-visible memory.
-func cloneStatus(st *NodeStatus) *NodeStatus {
-	if st == nil {
-		return nil
-	}
-	out := *st
-	out.Apps = slices.Clone(st.Apps)
-	if st.Lease != nil {
-		l := *st.Lease
-		out.Lease = &l
-	}
-	if st.Energy != nil {
-		e := *st.Energy
-		e.Apps = slices.Clone(st.Energy.Apps)
-		e.Anomalies = maps.Clone(st.Energy.Anomalies)
-		out.Energy = &e
-	}
-	if st.Tier != nil {
-		t := *st.Tier
-		out.Tier = &t
-	}
-	out.Metrics = maps.Clone(st.Metrics)
-	return &out
-}
+// series is the map type whose changes travel per entry.
+type series = map[string]float64
 
-// DiffStatus computes the delta that turns old into new. Identity
-// (Node), revision bookkeeping, and metrics passthrough are the
-// caller's to fill in; only the changed-field payload is produced here.
+var seriesType = reflect.TypeFor[series]()
+
+// statusFieldNames holds the JSON name of each NodeStatus field, by
+// field index, and statusFieldIndex maps a name back to its index;
+// both derive from the struct itself.
+var statusFieldNames, statusFieldIndex = func() ([]string, map[string]int) {
+	t := reflect.TypeFor[NodeStatus]()
+	names := make([]string, t.NumField())
+	index := make(map[string]int, t.NumField())
+	for i := range names {
+		sf := t.Field(i)
+		names[i], _, _ = strings.Cut(sf.Tag.Get("json"), ",")
+		if names[i] == "" {
+			names[i] = sf.Name
+		}
+		index[names[i]] = i
+	}
+	return names, index
+}()
+
+// DiffStatus computes the delta that turns old into new in one walk
+// over the NodeStatus fields. An unchanged field is left out. A series
+// map that kept every series of a non-empty old map sends only its new
+// and changed series. Any other change sends the whole new value in
+// Set, or names the field in Zero when the new value is empty (and
+// also when a series map must be replaced rather than merged).
+// Revision bookkeeping is the caller's to fill in. The frame is
+// addressed to old's node, so even a renamed node's delta applies.
 func DiffStatus(old, new *NodeStatus) *StatusDelta {
-	d := &StatusDelta{V: DeltaVersion, Node: new.Node}
-	if new.Policy != old.Policy {
-		d.Policy = &new.Policy
+	d := &StatusDelta{V: DeltaVersion, Node: old.Node}
+	ov, nv := reflect.ValueOf(old).Elem(), reflect.ValueOf(new).Elem()
+	var set reflect.Value
+	put := func(i int, v reflect.Value) {
+		if d.Set == nil {
+			d.Set = &NodeStatus{}
+			set = reflect.ValueOf(d.Set).Elem()
+		}
+		set.Field(i).Set(v)
 	}
-	if new.LimitWatts != old.LimitWatts {
-		d.LimitWatts = &new.LimitWatts
-	}
-	if new.PowerWatts != old.PowerWatts {
-		d.PowerWatts = &new.PowerWatts
-	}
-	if new.MaxWatts != old.MaxWatts {
-		d.MaxWatts = &new.MaxWatts
-	}
-	if new.FallbackWatts != old.FallbackWatts {
-		d.FallbackWatts = &new.FallbackWatts
-	}
-	if new.Iterations != old.Iterations {
-		d.Iterations = &new.Iterations
-	}
-	if new.Draining != old.Draining {
-		d.Draining = &new.Draining
-	}
-	switch {
-	case new.Lease == nil && old.Lease != nil:
-		d.Clear = append(d.Clear, "lease")
-	case new.Lease != nil && (old.Lease == nil || *new.Lease != *old.Lease):
-		d.Lease = new.Lease
-	}
-	switch {
-	case len(new.Apps) == 0 && len(old.Apps) != 0:
-		d.Clear = append(d.Clear, "apps")
-	case len(new.Apps) != 0 && !slices.Equal(new.Apps, old.Apps):
-		d.Apps = new.Apps
-	}
-	switch {
-	case new.Energy == nil && old.Energy != nil:
-		d.Clear = append(d.Clear, "energy")
-	case new.Energy != nil && (old.Energy == nil || !reflect.DeepEqual(new.Energy, old.Energy)):
-		d.Energy = new.Energy
-	}
-	switch {
-	case new.Tier == nil && old.Tier != nil:
-		d.Clear = append(d.Clear, "tier")
-	case new.Tier != nil && (old.Tier == nil || *new.Tier != *old.Tier):
-		d.Tier = new.Tier
+	for i, name := range statusFieldNames {
+		o, n := ov.Field(i), nv.Field(i)
+		if patch, ok := seriesPatch(o, n); ok {
+			if len(patch) > 0 {
+				put(i, reflect.ValueOf(patch))
+			}
+			continue
+		}
+		if sameValue(o, n) {
+			continue
+		}
+		if empty(n) || n.Type() == seriesType {
+			d.Zero = append(d.Zero, name)
+		}
+		if !empty(n) {
+			put(i, n)
+		}
 	}
 	return d
+}
+
+// seriesPatch returns the entries of n that are new or changed against
+// o. ok is false unless both are series maps, o is non-empty, and n
+// kept every key of o — the cases a merge can express.
+func seriesPatch(o, n reflect.Value) (patch series, ok bool) {
+	if o.Kind() != reflect.Map {
+		return nil, false
+	}
+	om, isSeries := o.Interface().(series)
+	if !isSeries || len(om) == 0 {
+		return nil, false
+	}
+	kept := 0
+	for k, v := range n.Interface().(series) {
+		old, had := om[k]
+		if had {
+			kept++
+		}
+		if !had || old != v {
+			if patch == nil {
+				patch = make(series)
+			}
+			patch[k] = v
+		}
+	}
+	return patch, kept == len(om)
+}
+
+// sameValue compares two values of one NodeStatus field.
+func sameValue(o, n reflect.Value) bool {
+	switch o.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map:
+		return reflect.DeepEqual(o.Interface(), n.Interface())
+	}
+	return o.Equal(n)
+}
+
+// empty reports whether a Set field carries no change: a value JSON's
+// omitempty drops, or the zero value of a type JSON always encodes.
+// Changes to an empty value travel in Zero instead.
+func empty(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Map, reflect.Slice, reflect.String:
+		return v.Len() == 0
+	case reflect.Float32, reflect.Float64:
+		return v.Float() == 0
+	}
+	return v.IsZero()
+}
+
+// applyTo folds the frame's changes into st: Zero fields reset, then
+// non-empty Set fields replace st's (series maps merge). New values
+// replace old ones rather than being written into them, so st may
+// share unchanged composites with earlier frames.
+func (d *StatusDelta) applyTo(st *NodeStatus) error {
+	v := reflect.ValueOf(st).Elem()
+	for _, name := range d.Zero {
+		i, ok := statusFieldIndex[name]
+		if !ok {
+			return fmt.Errorf("unknown field %q", name)
+		}
+		v.Field(i).SetZero()
+	}
+	if d.Set == nil {
+		return nil
+	}
+	set := reflect.ValueOf(d.Set).Elem()
+	for i := range statusFieldNames {
+		n := set.Field(i)
+		if empty(n) {
+			continue
+		}
+		if n.Type() == seriesType {
+			merged := maps.Clone(v.Field(i).Interface().(series))
+			if merged == nil {
+				merged = make(series, n.Len())
+			}
+			maps.Copy(merged, n.Interface().(series))
+			n = reflect.ValueOf(merged)
+		}
+		v.Field(i).Set(n)
+	}
+	return nil
 }
 
 // ResyncError reports a delta frame that must not be applied; the
@@ -212,9 +269,10 @@ func (f *StatusFollower) Reset() {
 }
 
 // Apply folds one frame into the follower and returns the resulting
-// complete status (a copy the caller owns). Metrics fields on the
-// returned status come from this frame alone — they are the metrics
-// piggyback's own delta stream, not follower state.
+// complete status. The follower takes ownership of the frame's values.
+// The returned status is the caller's, but its composite fields
+// (pointers, slices, maps) are shared with the follower and with later
+// results while unchanged: treat them as read-only.
 func (f *StatusFollower) Apply(d *StatusDelta) (*NodeStatus, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -230,13 +288,13 @@ func (f *StatusFollower) Apply(d *StatusDelta) (*NodeStatus, error) {
 		return fail(fmt.Sprintf("delta version %d, want %d", d.V, DeltaVersion))
 	}
 	if d.Full != nil {
-		f.synced = true
-		f.epoch = d.Epoch
-		f.rev = d.Rev
-		f.cur = cloneStatus(d.Full)
-		f.cur.Metrics, f.cur.MetricsRev = nil, 0
-		out := cloneStatus(d.Full)
-		return out, nil
+		if len(d.Zero) != 0 || d.Set != nil {
+			return fail("full frame also carries changes")
+		}
+		cur := *d.Full
+		f.synced, f.epoch, f.rev, f.cur = true, d.Epoch, d.Rev, &cur
+		out := cur
+		return &out, nil
 	}
 	if !f.synced {
 		return fail("delta frame while unsynchronized")
@@ -253,90 +311,11 @@ func (f *StatusFollower) Apply(d *StatusDelta) (*NodeStatus, error) {
 	if d.Node != "" && d.Node != f.cur.Node {
 		return fail(fmt.Sprintf("node %q, following %q", d.Node, f.cur.Node))
 	}
-	st := f.cur
-	if d.Policy != nil {
-		st.Policy = *d.Policy
+	next := *f.cur
+	if err := d.applyTo(&next); err != nil {
+		return fail(err.Error())
 	}
-	if d.LimitWatts != nil {
-		st.LimitWatts = *d.LimitWatts
-	}
-	if d.PowerWatts != nil {
-		st.PowerWatts = *d.PowerWatts
-	}
-	if d.MaxWatts != nil {
-		st.MaxWatts = *d.MaxWatts
-	}
-	if d.FallbackWatts != nil {
-		st.FallbackWatts = *d.FallbackWatts
-	}
-	if d.Iterations != nil {
-		st.Iterations = *d.Iterations
-	}
-	if d.Draining != nil {
-		st.Draining = *d.Draining
-	}
-	for _, name := range d.Clear {
-		switch name {
-		case "lease":
-			st.Lease = nil
-		case "apps":
-			st.Apps = nil
-		case "energy":
-			st.Energy = nil
-		case "tier":
-			st.Tier = nil
-		default:
-			return fail(fmt.Sprintf("unknown clear field %q", name))
-		}
-	}
-	if d.Lease != nil {
-		l := *d.Lease
-		st.Lease = &l
-	}
-	if d.Apps != nil {
-		st.Apps = slices.Clone(d.Apps)
-	}
-	if d.Energy != nil {
-		e := *d.Energy
-		e.Apps = slices.Clone(d.Energy.Apps)
-		e.Anomalies = maps.Clone(d.Energy.Anomalies)
-		st.Energy = &e
-	}
-	if d.Tier != nil {
-		t := *d.Tier
-		st.Tier = &t
-	}
-	f.rev = d.Rev
-	out := cloneStatus(st)
-	out.MetricsRev = d.MetricsRev
-	out.Metrics = maps.Clone(d.Metrics)
-	return out, nil
-}
-
-// GrantBatch carries one grant wave — many leases in one message — so
-// a tier cascading budget to children multiplexed behind one endpoint
-// pays one round trip, not one per child.
-type GrantBatch struct {
-	Coordinator string       `json:"coordinator,omitempty"`
-	Grants      []NamedGrant `json:"grants"`
-}
-
-// NamedGrant addresses one lease inside a batch to a node by name.
-type NamedGrant struct {
-	Node  string     `json:"node"`
-	Grant LeaseGrant `json:"grant"`
-}
-
-// GrantBatchAck answers a batch with one result per entry, in order.
-// Per-entry failures (a draining child, a stale ID) ride inside the
-// ack; only transport-level problems fail the whole batch.
-type GrantBatchAck struct {
-	Acks []NamedAck `json:"acks"`
-}
-
-// NamedAck is one entry's outcome: exactly one of Ack and Err is set.
-type NamedAck struct {
-	Node string      `json:"node"`
-	Ack  *LeaseAck   `json:"ack,omitempty"`
-	Err  *ErrorReply `json:"error,omitempty"`
+	f.cur, f.rev = &next, d.Rev
+	out := next
+	return &out, nil
 }

@@ -2,8 +2,10 @@ package powerapi
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -20,11 +22,9 @@ type stubBackend struct {
 	apps   []AppShare
 	tier   *TierStatus
 	energy *EnergyStatus
+	slo    *SLOStatus
+	series map[string]float64
 	fail   error
-
-	// forwarded records ForwardGrant calls when forwarding is enabled.
-	forward   bool
-	forwarded []string
 }
 
 func (b *stubBackend) FillStatus(st *NodeStatus) {
@@ -41,6 +41,8 @@ func (b *stubBackend) FillStatus(st *NodeStatus) {
 		st.Tier = &t
 	}
 	st.Energy = b.energy
+	st.SLO = b.slo
+	st.Metrics = b.series
 }
 
 func (b *stubBackend) SetLimit(_ context.Context, w units.Watts) error {
@@ -51,16 +53,6 @@ func (b *stubBackend) SetLimit(_ context.Context, w units.Watts) error {
 	}
 	b.limit = w
 	return nil
-}
-
-func (b *stubBackend) ForwardGrant(_ context.Context, node string, g *LeaseGrant) (*LeaseAck, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.forward {
-		return nil, &ErrorReply{Code: CodeUnknownNode, Message: "no such child " + node}
-	}
-	b.forwarded = append(b.forwarded, node)
-	return &LeaseAck{ID: g.ID, Applied: true, LimitWatts: g.LimitWatts}, nil
 }
 
 func (b *stubBackend) set(power float64, iters int) {
@@ -100,31 +92,34 @@ func TestBackendAgentDefaults(t *testing.T) {
 	}
 }
 
-// TestDiffStatusApplyRoundTrip drives the encoder and follower through
-// a sequence of status mutations: every diff applied on top of the
-// previous frame must reproduce the new frame exactly.
-func TestDiffStatusApplyRoundTrip(t *testing.T) {
-	frames := []*NodeStatus{
-		{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 40, MaxWatts: 100, Iterations: 1},
-		{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 44, MaxWatts: 100, Iterations: 2,
-			Lease: &LeaseInfo{ID: 1, LimitWatts: 50, TTLMS: 1000, RemainingMS: 900},
-			Apps:  []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 11}}},
-		{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 29, MaxWatts: 100, Iterations: 3,
-			Apps:   []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 8}},
-			Energy: &EnergyStatus{TotalUJ: 12345, TotalJoules: 0.012, Apps: []AppEnergy{{Name: "gcc", TotalUJ: 12000}}}},
-		{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 28, MaxWatts: 100, Iterations: 4, Draining: true,
-			Tier: &TierStatus{Tier: "row", Children: 4, Nodes: 4, Depth: 1, BudgetWatts: 120}},
+// wireDelta sends a frame through the envelope codec, as an agent's
+// reply travels.
+func wireDelta(t testing.TB, d *StatusDelta) *StatusDelta {
+	t.Helper()
+	data, err := Marshal(d)
+	if err != nil {
+		t.Fatal(err)
 	}
+	msg, err := UnmarshalAs(data, KindStatusDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return msg.(*StatusDelta)
+}
+
+// followFrames feeds frames[0] to a follower as a full frame and every
+// later frame as the DiffStatus delta from its predecessor, checking
+// that each result equals the frame it encodes.
+func followFrames(t *testing.T, frames ...*NodeStatus) {
+	t.Helper()
 	var f StatusFollower
-	rev := uint64(1)
-	if _, err := f.Apply(&StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: rev, Full: frames[0]}); err != nil {
+	if _, err := f.Apply(wireDelta(t, &StatusDelta{V: DeltaVersion, Node: frames[0].Node, Epoch: 9, Rev: 1, Full: frames[0]})); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(frames); i++ {
 		d := DiffStatus(frames[i-1], frames[i])
-		d.Epoch, d.Base, d.Rev = 9, rev, rev+1
-		rev++
-		got, err := f.Apply(d)
+		d.Epoch, d.Base, d.Rev = 9, uint64(i), uint64(i+1)
+		got, err := f.Apply(wireDelta(t, d))
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -134,44 +129,161 @@ func TestDiffStatusApplyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDiffStatusApplyRoundTrip drives the encoder and follower through
+// a sequence of status mutations: every diff applied on top of the
+// previous frame must reproduce the new frame exactly.
+func TestDiffStatusApplyRoundTrip(t *testing.T) {
+	slo := func(p99 float64, met bool) *SLOStatus {
+		return &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: p99, TargetMS: 65, Met: met}}}
+	}
+	followFrames(t,
+		&NodeStatus{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 40, MaxWatts: 100, Iterations: 1,
+			Metrics: map[string]float64{"a": 1, "b": 2}},
+		&NodeStatus{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 44, MaxWatts: 100, Iterations: 2,
+			Lease:   &LeaseInfo{ID: 1, LimitWatts: 50, TTLMS: 1000, RemainingMS: 900},
+			Apps:    []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 11}},
+			SLO:     slo(50, true),
+			Metrics: map[string]float64{"a": 1, "b": 3, "c": 4}},
+		&NodeStatus{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 29, MaxWatts: 100, Iterations: 3,
+			Apps:    []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 8}},
+			Energy:  &EnergyStatus{TotalUJ: 12345, TotalJoules: 0.012, Apps: []AppEnergy{{Name: "gcc", TotalUJ: 12000}}},
+			SLO:     slo(90, false),
+			Metrics: map[string]float64{"a": 1}},
+		&NodeStatus{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 28, MaxWatts: 100, Iterations: 4, Draining: true,
+			Tier: &TierStatus{Tier: "row", Children: 4, Nodes: 4, Depth: 1, BudgetWatts: 120}},
+	)
+}
+
+// TestDiffStatusMetricsPerSeries pins how metrics travel: series that
+// changed or appeared are merged one by one, and a map that lost a
+// series is reset and resent whole.
+func TestDiffStatusMetricsPerSeries(t *testing.T) {
+	a := &NodeStatus{Node: "n0", Metrics: map[string]float64{"x": 1, "y": 2, "z": 3}}
+	b := &NodeStatus{Node: "n0", Metrics: map[string]float64{"x": 1, "y": 5, "z": 3, "w": 6}}
+	c := &NodeStatus{Node: "n0", Metrics: map[string]float64{"x": 1, "y": 5}}
+	d := DiffStatus(a, b)
+	if d.Zero != nil || d.Set == nil || !reflect.DeepEqual(d.Set.Metrics, map[string]float64{"y": 5, "w": 6}) {
+		t.Fatalf("grown map: zero %v set %+v, want only the two changed series", d.Zero, d.Set)
+	}
+	d = DiffStatus(b, c)
+	if !slices.Equal(d.Zero, []string{"metrics"}) || d.Set == nil || !reflect.DeepEqual(d.Set.Metrics, c.Metrics) {
+		t.Fatalf("shrunk map: zero %v set %+v, want the map reset and resent whole", d.Zero, d.Set)
+	}
+	if d = DiffStatus(c, c); d.Set != nil || d.Zero != nil {
+		t.Fatalf("unchanged status produced changes: zero %v set %+v", d.Zero, d.Set)
+	}
+}
+
+// fill sets v, and everything reachable from it, to a non-zero value.
+func fill(t *testing.T, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int64:
+		v.SetInt(7)
+	case reflect.Uint64:
+		v.SetUint(7)
+	case reflect.Float64:
+		v.SetFloat(1.5)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fill(t, v.Elem())
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fill(t, v.Index(0))
+	case reflect.Map:
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fill(t, k)
+		fill(t, e)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(k, e)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				fill(t, v.Field(i))
+			}
+		}
+	default:
+		t.Fatalf("no filler for %s", v.Type())
+	}
+}
+
+// TestDeltaCarriesEveryField sets each exported NodeStatus field, found
+// by reflection, to a non-zero value and checks that it survives a
+// full frame, a delta that sets it, and a delta that empties it — so a
+// field added to NodeStatus cannot be left out of the delta stream.
+func TestDeltaCarriesEveryField(t *testing.T) {
+	typ := reflect.TypeFor[NodeStatus]()
+	all := &NodeStatus{}
+	fill(t, reflect.ValueOf(all).Elem())
+	for i := 0; i < typ.NumField(); i++ {
+		sf := typ.Field(i)
+		if !sf.IsExported() {
+			continue
+		}
+		t.Run(sf.Name, func(t *testing.T) {
+			empty := &NodeStatus{Node: "n0"}
+			set := &NodeStatus{Node: "n0"}
+			fill(t, reflect.ValueOf(set).Elem().Field(i))
+			followFrames(t, empty, set, empty)
+			followFrames(t, set, empty, set)
+		})
+	}
+	followFrames(t, &NodeStatus{Node: "x"}, all, &NodeStatus{Node: "x"})
+}
+
+// deliver hands a status_delta body to a follower the way FollowStatus
+// does: a body that does not decode resets the follower, one that
+// decodes is applied.
+func deliver(f *StatusFollower, body string) error {
+	msg, err := UnmarshalAs([]byte(`{"v":1,"kind":"status_delta","body":`+body+`}`), KindStatusDelta)
+	if err != nil {
+		f.Reset()
+		return err
+	}
+	_, err = f.Apply(msg.(*StatusDelta))
+	return err
+}
+
 // TestStatusFollowerRefusals enumerates the frames a follower must
 // refuse — and checks that after each refusal only a full frame
 // restores it.
 func TestStatusFollowerRefusals(t *testing.T) {
-	base := &NodeStatus{Node: "n0", Policy: "p", LimitWatts: 50}
-	full := func(rev uint64) *StatusDelta {
-		return &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: rev, Full: base}
+	full := func(rev int) string {
+		return fmt.Sprintf(`{"v":2,"node":"n0","epoch":9,"rev":%d,"full":{"node":"n0","policy":"p","limit_watts":50}}`, rev)
 	}
-	w := 51.0
-	cases := []struct {
-		name  string
-		frame *StatusDelta
-	}{
-		{"foreign delta version", &StatusDelta{V: DeltaVersion + 1, Node: "n0", Epoch: 9, Rev: 2, Base: 1, LimitWatts: &w}},
-		{"epoch change", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 10, Rev: 2, Base: 1, LimitWatts: &w}},
-		{"missed frame", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 5, Base: 3, LimitWatts: &w}},
-		{"stale replay", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 1, Base: 1, LimitWatts: &w}},
-		{"unknown clear field", &StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 2, Base: 1, Clear: []string{"future"}}},
-		{"wrong node", &StatusDelta{V: DeltaVersion, Node: "n1", Epoch: 9, Rev: 2, Base: 1, LimitWatts: &w}},
+	cases := []struct{ name, frame string }{
+		{"foreign delta version", `{"v":3,"node":"n0","epoch":9,"rev":2,"base":1,"set":{"limit_watts":51}}`},
+		{"epoch change", `{"v":2,"node":"n0","epoch":10,"rev":2,"base":1,"set":{"limit_watts":51}}`},
+		{"missed frame", `{"v":2,"node":"n0","epoch":9,"rev":5,"base":3,"set":{"limit_watts":51}}`},
+		{"stale replay", `{"v":2,"node":"n0","epoch":9,"rev":1,"base":1,"set":{"limit_watts":51}}`},
+		{"unknown field", `{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"set":{"future":1}}`},
+		{"unknown zero field", `{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["future"]}`},
+		{"wrong node", `{"v":2,"node":"n1","epoch":9,"rev":2,"base":1,"set":{"limit_watts":51}}`},
+		{"undecodable value", `{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"set":{"limit_watts":"high"}}`},
+		{"unknown nested field", `{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"set":{"lease":{"id":1,"future":2}}}`},
+		{"full frame with changes", `{"v":2,"node":"n0","epoch":9,"rev":2,"full":{"node":"n0"},"zero":["lease"]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var f StatusFollower
-			if _, err := f.Apply(full(1)); err != nil {
+			if err := deliver(&f, full(1)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Apply(tc.frame); err == nil {
+			if err := deliver(&f, tc.frame); err == nil {
 				t.Fatal("frame was applied")
-			} else if _, ok := err.(*ResyncError); !ok {
-				t.Fatalf("error %T, want *ResyncError", err)
 			}
 			if f.Synced() {
 				t.Fatal("follower still synced after refusal")
 			}
-			if _, err := f.Apply(&StatusDelta{V: DeltaVersion, Node: "n0", Epoch: 9, Rev: 7, Base: 6, LimitWatts: &w}); err == nil {
+			if err := deliver(&f, `{"v":2,"node":"n0","epoch":9,"rev":7,"base":6,"set":{"limit_watts":51}}`); err == nil {
 				t.Fatal("delta applied while unsynchronized")
+			} else if _, ok := err.(*ResyncError); !ok {
+				t.Fatalf("error %T, want *ResyncError", err)
 			}
-			if _, err := f.Apply(full(8)); err != nil {
+			if err := deliver(&f, full(8)); err != nil {
 				t.Fatalf("full frame did not resync: %v", err)
 			}
 		})
@@ -189,7 +301,7 @@ func TestFollowStatusOverHTTP(t *testing.T) {
 	c := NewClient(srv.URL)
 
 	var f StatusFollower
-	st, err := c.FollowStatus(context.Background(), &f, MetricsNone)
+	st, err := c.FollowStatus(context.Background(), &f, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +309,7 @@ func TestFollowStatusOverHTTP(t *testing.T) {
 		t.Fatalf("first frame = %+v", st)
 	}
 	be.set(47.5, 2)
-	if st, err = c.FollowStatus(context.Background(), &f, MetricsNone); err != nil {
+	if st, err = c.FollowStatus(context.Background(), &f, false); err != nil {
 		t.Fatal(err)
 	}
 	if st.PowerWatts != 47.5 || st.Iterations != 2 {
@@ -207,11 +319,11 @@ func TestFollowStatusOverHTTP(t *testing.T) {
 	// A second follower advances the agent's revision chain; the first
 	// follower's next delta no longer applies and must resync.
 	var thief StatusFollower
-	if _, err := c.FollowStatus(context.Background(), &thief, MetricsNone); err != nil {
+	if _, err := c.FollowStatus(context.Background(), &thief, false); err != nil {
 		t.Fatal(err)
 	}
 	be.set(33, 3)
-	if st, err = c.FollowStatus(context.Background(), &f, MetricsNone); err != nil {
+	if st, err = c.FollowStatus(context.Background(), &f, false); err != nil {
 		t.Fatalf("resync after stolen baseline: %v", err)
 	}
 	if st.PowerWatts != 33 || st.Iterations != 3 {
@@ -219,102 +331,87 @@ func TestFollowStatusOverHTTP(t *testing.T) {
 	}
 }
 
-// TestApplyBatchRouting checks a grant wave splits correctly: entries
-// for the agent apply locally, entries for descendants go through the
-// forwarding backend, and unroutable entries fail inside the ack
-// without failing the wave.
-func TestApplyBatchRouting(t *testing.T) {
-	a, be := newStubAgent(t, "row0")
-	be.forward = true
-	srv := httptest.NewServer(a.Handler())
-	defer srv.Close()
-	c := NewClient(srv.URL)
-
-	ack, err := c.LeaseBatch(context.Background(), &GrantBatch{
-		Coordinator: "building",
-		Grants: []NamedGrant{
-			{Node: "row0", Grant: LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 60000}},
-			{Node: "leaf3", Grant: LeaseGrant{ID: 2, LimitWatts: 10, TTLMS: 60000}},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ack.Acks) != 2 {
-		t.Fatalf("acks = %+v", ack.Acks)
-	}
-	if ack.Acks[0].Ack == nil || !ack.Acks[0].Ack.Applied {
-		t.Fatalf("local entry not applied: %+v", ack.Acks[0])
-	}
-	if be.limit != 40 {
-		t.Fatalf("local limit = %v, want 40", be.limit)
-	}
-	if ack.Acks[1].Ack == nil || len(be.forwarded) != 1 || be.forwarded[0] != "leaf3" {
-		t.Fatalf("forwarded entry: ack %+v, forwarded %v", ack.Acks[1], be.forwarded)
-	}
-	st := a.Status()
-	if st.Lease == nil || st.Lease.Coordinator != "building" {
-		t.Fatalf("batch coordinator not adopted: %+v", st.Lease)
-	}
-
-	// Forwarding off: descendant entries fail per-entry, the wave and
-	// its local entries still succeed.
-	be.forward = false
-	ack, err = c.LeaseBatch(context.Background(), &GrantBatch{Grants: []NamedGrant{
-		{Node: "row0", Grant: LeaseGrant{ID: 3, LimitWatts: 35, TTLMS: 60000}},
-		{Node: "leaf9", Grant: LeaseGrant{ID: 4, LimitWatts: 10, TTLMS: 60000}},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ack.Acks[0].Ack == nil || !ack.Acks[0].Ack.Applied {
-		t.Fatalf("local entry: %+v", ack.Acks[0])
-	}
-	if ack.Acks[1].Err == nil {
-		t.Fatalf("unroutable entry did not fail: %+v", ack.Acks[1])
-	}
-}
-
 // captureDeltaEnvelopes records real frames an agent serves in delta
-// mode — the fuzz corpus the issue asks for.
+// mode, covering per-series metrics merges, a metrics map that loses a
+// series, SLO changes, and composites that appear and disappear.
 func captureDeltaEnvelopes(f *testing.F) [][]byte {
 	f.Helper()
-	be := &stubBackend{limit: 50, power: 42, iters: 1}
+	be := &stubBackend{limit: 50, power: 42, iters: 1, series: map[string]float64{"a": 1, "b": 2}}
 	a, err := NewAgent(AgentConfig{Name: "n0", Backend: be})
 	if err != nil {
 		f.Fatal(err)
 	}
 	defer a.Close()
 	var out [][]byte
-	add := func(d *StatusDelta) {
-		data, err := MarshalRound(d, 7)
+	add := func(resync bool) {
+		data, err := MarshalRound(a.statusDelta(a.Status(), resync), 7)
 		if err != nil {
 			f.Fatal(err)
 		}
 		out = append(out, data)
 	}
-	add(a.statusDelta(a.Status(), true)) // full resync frame
+	change := func(fn func()) {
+		be.mu.Lock()
+		fn()
+		be.mu.Unlock()
+		add(false)
+	}
+	add(true) // full resync frame
 	be.set(44, 2)
-	add(a.statusDelta(a.Status(), false)) // scalar delta
+	add(false) // scalar delta
+	// Series merged one by one.
+	change(func() { be.series = map[string]float64{"a": 1, "b": 3, "c": 4} })
+	// SLO appears, then misses.
+	change(func() {
+		be.slo = &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 50, TargetMS: 65, Met: true}}}
+	})
+	change(func() {
+		be.slo = &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 90, TargetMS: 65}}}
+	})
+	// A series lost: the map is reset and resent whole.
+	change(func() { be.series = map[string]float64{"a": 2} })
 	if _, err := a.Grant(&LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 60_000}); err != nil {
 		f.Fatal(err)
 	}
-	add(a.statusDelta(a.Status(), false)) // lease appears
-	be.mu.Lock()
-	be.tier = &TierStatus{Tier: "row", Children: 8, Nodes: 64, Depth: 1, BudgetWatts: 400}
-	be.mu.Unlock()
-	add(a.statusDelta(a.Status(), false)) // tier appears
+	add(false) // lease appears
+	change(func() { be.tier = &TierStatus{Tier: "row", Children: 8, Nodes: 64, Depth: 1, BudgetWatts: 400} })
 	if _, err := a.SetDrain(true); err != nil {
 		f.Fatal(err)
 	}
-	add(a.statusDelta(a.Status(), false)) // lease cleared, draining set
+	add(false) // lease cleared, draining set
+	// Composites disappear.
+	change(func() { be.tier, be.slo, be.series = nil, nil, nil })
 	return out
+}
+
+// fuzzBase is the status FuzzStatusDelta's follower holds before the
+// fuzzed frame arrives.
+func fuzzBase(node string) *NodeStatus {
+	return &NodeStatus{Node: node, Policy: "p", LimitWatts: 10,
+		Lease:   &LeaseInfo{ID: 1, LimitWatts: 10, TTLMS: 500},
+		Apps:    []AppShare{{Name: "a", Core: 0}},
+		SLO:     &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 50, Met: true}}},
+		Metrics: map[string]float64{"a": 1, "b": 2}}
+}
+
+// canonical is a status's wire form, which ignores the nil/empty
+// distinctions JSON cannot carry.
+func canonical(t *testing.T, st *NodeStatus) string {
+	t.Helper()
+	data, err := Marshal(st)
+	if err != nil {
+		t.Fatalf("status does not marshal: %v", err)
+	}
+	return string(data)
 }
 
 // FuzzStatusDelta hammers the delta-status decoder: any envelope, however
 // mangled, must either be refused (after which only a full frame
 // resyncs the follower) or be provably contiguous with the follower's
-// state. It must never panic and never apply a stale or foreign frame.
+// state and bring it to a canonical fixed point: re-deriving the
+// transition with DiffStatus reproduces the same status, which then
+// diffs against itself to nothing. It must never panic and never apply
+// a stale or foreign frame.
 func FuzzStatusDelta(f *testing.F) {
 	for _, data := range captureDeltaEnvelopes(f) {
 		f.Add(data)
@@ -322,14 +419,17 @@ func FuzzStatusDelta(f *testing.F) {
 	mk := func(body string) []byte {
 		return []byte(`{"v":1,"kind":"status_delta","body":` + body + `}`)
 	}
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":5,"base":5,"power_watts":1}`))  // stale
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":9,"power_watts":1}`))  // gap
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1}`))                  // foreign version
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":1,"clear":["huh"]}`))  // unknown clear
-	f.Add(mk(`{"v":1,"node":"n0","epoch":8,"rev":2,"base":1,"iterations":3}`))   // wrong epoch
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":3,"base":2,"full":{"node":"n0"},"power_watts":4}`))
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":5,"base":5,"set":{"power_watts":1}}`))         // stale
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":9,"set":{"power_watts":1}}`))         // gap
+	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":1,"power_watts":1}`))                 // foreign version
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["huh"]}`))                  // unknown zero field
+	f.Add(mk(`{"v":2,"node":"n0","epoch":8,"rev":2,"base":1,"set":{"iterations":3}}`))          // wrong epoch
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["slo","apps"]}`))           // composites emptied
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"set":{"metrics":{"b":5,"c":1}}}`)) // series merged
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["metrics"],"set":{"metrics":{"c":1}}}`))
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":3,"base":2,"full":{"node":"n0"},"set":{"power_watts":4}}`))
 	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{}}`))
-	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{"v":1,"bogus":3}}`))
+	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{"v":2,"bogus":3}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, msg, err := UnmarshalEnvelope(data)
@@ -342,9 +442,7 @@ func FuzzStatusDelta(f *testing.F) {
 		}
 		// Seed a follower that is, by construction, contiguous with the
 		// frame's own (epoch, base) claim — the hardest state to fool.
-		base := &NodeStatus{Node: d.Node, Policy: "p", LimitWatts: 10,
-			Lease: &LeaseInfo{ID: 1, LimitWatts: 10, TTLMS: 500},
-			Apps:  []AppShare{{Name: "a", Core: 0}}}
+		base := fuzzBase(d.Node)
 		var fl StatusFollower
 		if _, err := fl.Apply(&StatusDelta{V: DeltaVersion, Node: d.Node, Epoch: d.Epoch, Rev: d.Base, Full: base}); err != nil {
 			t.Fatalf("seeding follower: %v", err)
@@ -358,8 +456,8 @@ func FuzzStatusDelta(f *testing.F) {
 				t.Fatal("follower stayed synced after refusing a frame")
 			}
 			// A delta must now be refused, and a full frame accepted.
-			w := 1.0
-			if _, err := fl.Apply(&StatusDelta{V: DeltaVersion, Node: d.Node, Epoch: d.Epoch, Rev: d.Rev + 1, Base: d.Rev, PowerWatts: &w}); err == nil {
+			w := &NodeStatus{PowerWatts: 1}
+			if _, err := fl.Apply(&StatusDelta{V: DeltaVersion, Node: d.Node, Epoch: d.Epoch, Rev: d.Rev + 1, Base: d.Rev, Set: w}); err == nil {
 				t.Fatal("delta applied while unsynchronized")
 			}
 			if _, err := fl.Apply(&StatusDelta{V: DeltaVersion, Node: d.Node, Epoch: d.Epoch, Rev: d.Rev + 2, Full: base}); err != nil {
@@ -371,17 +469,35 @@ func FuzzStatusDelta(f *testing.F) {
 		if d.V != DeltaVersion {
 			t.Fatalf("applied foreign delta version %d", d.V)
 		}
-		if d.Full == nil && d.Rev <= d.Base {
+		if d.Full != nil {
+			if canonical(t, st) != canonical(t, d.Full) {
+				t.Fatalf("full frame applied as %s, want %s", canonical(t, st), canonical(t, d.Full))
+			}
+			return
+		}
+		if d.Rev <= d.Base {
 			t.Fatalf("applied stale delta rev %d over base %d", d.Rev, d.Base)
 		}
-		if st == nil {
-			t.Fatal("applied frame returned nil status")
+		// Re-deriving the transition reaches the same canonical status.
+		re := DiffStatus(base, st)
+		re.Epoch, re.Base, re.Rev = 1, 1, 2
+		var again StatusFollower
+		if _, err := again.Apply(&StatusDelta{V: DeltaVersion, Node: base.Node, Epoch: 1, Rev: 1, Full: fuzzBase(d.Node)}); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := again.Apply(wireDelta(t, re))
+		if err != nil {
+			t.Fatalf("re-derived delta refused: %v", err)
+		}
+		if canonical(t, st2) != canonical(t, st) {
+			t.Fatalf("not a fixed point:\n applied %s\nre-derived %s", canonical(t, st), canonical(t, st2))
+		}
+		if self := DiffStatus(st, st); self.Set != nil || self.Zero != nil {
+			t.Fatalf("applied status diffs against itself: %+v", self)
 		}
 		// And a replay of the very same frame must now be refused.
-		if d.Full == nil {
-			if _, err := fl.Apply(d); err == nil {
-				t.Fatal("replayed delta applied twice")
-			}
+		if _, err := fl.Apply(d); err == nil {
+			t.Fatal("replayed delta applied twice")
 		}
 	})
 }

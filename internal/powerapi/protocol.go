@@ -59,8 +59,6 @@ const (
 	KindStatusDelta    = "status_delta"
 	KindLeaseGrant     = "lease_grant"
 	KindLeaseAck       = "lease_ack"
-	KindGrantBatch     = "grant_batch"
-	KindGrantBatchAck  = "grant_batch_ack"
 	KindReconfigure    = "reconfigure"
 	KindReconfigureAck = "reconfigure_ack"
 	KindDrain          = "drain"
@@ -73,26 +71,25 @@ const (
 )
 
 // NodeStatus reports one daemon's control-plane view: what it enforces,
-// what it measures, and the lease it holds, if any.
+// what it measures, and the lease it holds, if any. Every field is
+// omitempty: a delta frame's Set is a NodeStatus whose empty fields
+// mean "unchanged", so they must cost no bytes.
 type NodeStatus struct {
-	Node          string     `json:"node"`
-	Policy        string     `json:"policy"`
-	LimitWatts    float64    `json:"limit_watts"`
-	PowerWatts    float64    `json:"power_watts"`
-	MaxWatts      float64    `json:"max_watts"`
-	FallbackWatts float64    `json:"fallback_watts"`
-	Iterations    int        `json:"iterations"`
+	Node          string     `json:"node,omitempty"`
+	Policy        string     `json:"policy,omitempty"`
+	LimitWatts    float64    `json:"limit_watts,omitempty"`
+	PowerWatts    float64    `json:"power_watts,omitempty"`
+	MaxWatts      float64    `json:"max_watts,omitempty"`
+	FallbackWatts float64    `json:"fallback_watts,omitempty"`
+	Iterations    int        `json:"iterations,omitempty"`
 	Draining      bool       `json:"draining,omitempty"`
 	Lease         *LeaseInfo `json:"lease,omitempty"`
 	Apps          []AppShare `json:"apps,omitempty"`
 
-	// MetricsRev and Metrics carry an optional metrics snapshot for
-	// fleet aggregation, requested via ?metrics=full|delta on the
-	// status endpoint. A delta holds only series whose value changed
-	// since the previous snapshot this agent served; MetricsRev
-	// increments per snapshot so a receiver can spot missed deltas.
-	MetricsRev uint64             `json:"metrics_rev,omitempty"`
-	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	// Metrics carries the node's metrics-registry snapshot for fleet
+	// aggregation when the poll asks for it (?metrics=1). On the delta
+	// stream, series that changed travel per series.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 
 	// Energy carries the node's energy-ledger summary when the daemon
 	// runs one, so the coordinator can roll up fleet-wide joules, cost,
@@ -276,8 +273,6 @@ var kinds = map[string]func() any{
 	KindStatusDelta:    func() any { return &StatusDelta{} },
 	KindLeaseGrant:     func() any { return &LeaseGrant{} },
 	KindLeaseAck:       func() any { return &LeaseAck{} },
-	KindGrantBatch:     func() any { return &GrantBatch{} },
-	KindGrantBatchAck:  func() any { return &GrantBatchAck{} },
 	KindReconfigure:    func() any { return &Reconfigure{} },
 	KindReconfigureAck: func() any { return &ReconfigureAck{} },
 	KindDrain:          func() any { return &Drain{} },
@@ -301,10 +296,6 @@ func KindOf(msg any) string {
 		return KindLeaseGrant
 	case *LeaseAck:
 		return KindLeaseAck
-	case *GrantBatch:
-		return KindGrantBatch
-	case *GrantBatchAck:
-		return KindGrantBatchAck
 	case *Reconfigure:
 		return KindReconfigure
 	case *ReconfigureAck:

@@ -131,7 +131,7 @@ func TestClientPropagatesRound(t *testing.T) {
 	if gotQuery != 11 {
 		t.Fatalf("status round = %d, want 11", gotQuery)
 	}
-	if _, err := c.StatusWithMetrics(ctx, MetricsDelta); err != nil {
+	if _, err := c.StatusWithMetrics(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if gotQuery != 11 {
