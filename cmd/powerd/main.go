@@ -501,14 +501,15 @@ loop:
 		sum.CostUSD, sum.CarbonGrams)
 	if svcModel != nil {
 		for _, s := range svcModel.Services() {
+			slo := s.ServiceSLO()
 			target := "no target"
 			for _, t := range opts.sloTargets {
 				if t.Service == s.Name() {
 					verdict := "met"
-					switch p99 := s.WindowPercentile(99); {
-					case p99 <= 0:
+					switch {
+					case slo.P99 <= 0:
 						verdict = "no samples in window"
-					case p99 > t.P99.Seconds():
+					case slo.P99 > t.P99.Seconds():
 						verdict = "MISSED"
 					}
 					target = fmt.Sprintf("target %v (%s)", t.P99, verdict)
@@ -516,8 +517,8 @@ loop:
 				}
 			}
 			fmt.Printf("powerd: service %s: p50 %.1fms p90 %.1fms p99 %.1fms, %d done, %d dropped, %d timed out, %s\n",
-				s.Name(), s.WindowPercentile(50)*1e3, s.WindowPercentile(90)*1e3, s.WindowPercentile(99)*1e3,
-				s.Completed(), s.Dropped(), s.TimedOut(), target)
+				s.Name(), slo.P50*1e3, slo.P90*1e3, slo.P99*1e3,
+				s.Completed(), slo.Dropped, slo.Timeouts, target)
 		}
 	}
 	if inj != nil {

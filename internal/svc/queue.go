@@ -1,6 +1,10 @@
 package svc
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/stats"
+)
 
 // wakeHeap is a min-heap of closed-loop wake times. It reimplements
 // container/heap's sift algorithms over a concrete []time.Duration so
@@ -97,63 +101,72 @@ func (r *reqRing) grow() {
 	r.head = 0
 }
 
-// latSample is one completion in the sliding window.
-type latSample struct {
-	at  time.Duration
-	lat float64 // seconds
+// windowSlice is the span of one slice of the sliding latency window.
+const windowSlice = time.Second
+
+// latSlice holds the completions of one virtual second.
+type latSlice struct {
+	hist stats.LogHist
+	sum  float64 // seconds
 }
 
-// latWindow is a fixed-capacity time-sliding ring of completion
-// latencies: entries older than span are evicted, and when the ring is
-// full the oldest entry is overwritten, so memory stays constant under
-// any completion rate.
+// latWindow is a sliding latency histogram made of whole 1 s slices: a
+// ring holding the live slice and the ceil(span/1s) slices before it,
+// plus their running total. Recording is O(1); rotation subtracts the
+// expiring slice from the total once per virtual second, and a
+// percentile read walks the total once. Memory is fixed at
+// (slices + 1) histograms under any completion rate.
 type latWindow struct {
-	span time.Duration
-	buf  []latSample
-	head int
-	n    int
+	slices []latSlice
+	sec    int64 // virtual second of the live slice
+	total  stats.LogHist
 }
 
-func newLatWindow(span time.Duration, capacity int) latWindow {
-	return latWindow{span: span, buf: make([]latSample, capacity)}
+func newLatWindow(span time.Duration) latWindow {
+	n := int((span+windowSlice-1)/windowSlice) + 1
+	return latWindow{slices: make([]latSlice, n)}
 }
 
-func (w *latWindow) count() int { return w.n }
+// advance rotates the ring so the live slice is the one holding now,
+// dropping the slices that fell out of the window.
+func (w *latWindow) advance(now time.Duration) {
+	sec := int64(now / windowSlice)
+	if sec <= w.sec {
+		return
+	}
+	n := int64(len(w.slices))
+	for s := max(w.sec+1, sec-n+1); s <= sec; s++ {
+		sl := &w.slices[s%n]
+		w.total.Sub(&sl.hist)
+		sl.hist.Reset()
+		sl.sum = 0
+	}
+	w.sec = sec
+}
 
 func (w *latWindow) record(at time.Duration, lat float64) {
-	w.evict(at)
-	if w.n == len(w.buf) {
-		w.head = (w.head + 1) % len(w.buf)
-		w.n--
-	}
-	w.buf[(w.head+w.n)%len(w.buf)] = latSample{at: at, lat: lat}
-	w.n++
+	w.advance(at)
+	sl := &w.slices[w.sec%int64(len(w.slices))]
+	sl.hist.Record(lat)
+	sl.sum += lat
+	w.total.Record(lat)
 }
 
-// evict drops entries that fell out of the window ending at now.
-func (w *latWindow) evict(now time.Duration) {
-	cut := now - w.span
-	for w.n > 0 && w.buf[w.head].at < cut {
-		w.head = (w.head + 1) % len(w.buf)
-		w.n--
-	}
-}
-
-// appendLatencies appends the live entries' latencies to dst.
-func (w *latWindow) appendLatencies(dst []float64) []float64 {
-	for i := 0; i < w.n; i++ {
-		dst = append(dst, w.buf[(w.head+i)%len(w.buf)].lat)
-	}
-	return dst
+// covered reports the span of virtual time the live slices cover,
+// ending at now (the first slices of a run start at zero).
+func (w *latWindow) covered(now time.Duration) time.Duration {
+	start := time.Duration(w.sec-int64(len(w.slices))+1) * windowSlice
+	return now - max(start, 0)
 }
 
 func (w *latWindow) mean() float64 {
-	if w.n == 0 {
+	n := w.total.Count()
+	if n == 0 {
 		return 0
 	}
 	var sum float64
-	for i := 0; i < w.n; i++ {
-		sum += w.buf[(w.head+i)%len(w.buf)].lat
+	for i := range w.slices {
+		sum += w.slices[i].sum
 	}
-	return sum / float64(w.n)
+	return sum / float64(n)
 }

@@ -13,24 +13,26 @@
 //   - OpenTrace replays arrival offsets parsed from a trace file
 //     (see ParseTrace for the format).
 //
-// Every service keeps per-completion latency in a sliding window and
-// reports p50/p90/p99, rate, queue depth, and drop/timeout counts as
-// core.ServiceSLO telemetry the daemon attaches to policy snapshots.
+// Every service keeps its completion latencies in a sliding window —
+// the last Window rounded up to whole 1 s slices, plus the current
+// partial second — as a log-bucketed histogram (stats.LogHist, within
+// 1/128 relative error), and reports p50/p90/p99, rate, queue depth,
+// and drop/timeout counts as core.ServiceSLO telemetry the daemon
+// attaches to policy snapshots.
 // Runs are deterministic for a given seed: the RNG consumption order is
 // fixed (documented on tick) so a replay with the same config and tick
 // sequence is bit-identical.
 //
 // The steady-state tick path is allocation-free: requests come from a
-// free list, the queue is a ring, the latency window is a fixed ring,
-// and the closed-loop wake heap stores raw durations (no interface
-// boxing). svc_tick/* entries in BENCH_loop.json sit under the CI
-// zero-alloc gate.
+// free list, the queue is a ring, the latency window is a fixed ring of
+// histograms, and the closed-loop wake heap stores raw durations (no
+// interface boxing). svc_tick/* entries in BENCH_loop.json sit under
+// the CI zero-alloc gate.
 package svc
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -104,11 +106,12 @@ type Config struct {
 	// reaching a core; expiries are counted. 0 means none.
 	Timeout time.Duration
 
-	// Window is the sliding latency-statistics span (default 10 s);
-	// WindowCap caps the samples kept in it (default 4096, oldest
-	// overwritten first).
-	Window    time.Duration
-	WindowCap int
+	// Window is the sliding latency-statistics span (default 10 s),
+	// rounded up to whole 1 s slices: the window holds the current
+	// partial second plus ceil(Window/1s) whole seconds before it, so a
+	// completion leaves it between Window and Window+1 s after it
+	// happened. Every completion in that span counts.
+	Window time.Duration
 
 	// RecordAll additionally keeps every completed latency since the
 	// last ResetStats — the closed-loop experiments' percentile source.
@@ -132,9 +135,6 @@ func (c *Config) fill() {
 	}
 	if c.Window <= 0 {
 		c.Window = 10 * time.Second
-	}
-	if c.WindowCap <= 0 {
-		c.WindowCap = 4096
 	}
 	if c.Profile.Name == "" {
 		c.Profile = InteractiveProfile
@@ -218,7 +218,6 @@ type Service struct {
 
 	latencies []float64 // RecordAll log, seconds, since last ResetStats
 	win       latWindow
-	scratch   []float64 // window percentile sort scratch
 }
 
 func newService(cfg Config) (*Service, error) {
@@ -230,8 +229,7 @@ func newService(cfg Config) (*Service, error) {
 		cfg:       cfg,
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		inService: make([]*request, len(cfg.Cores)),
-		win:       newLatWindow(cfg.Window, cfg.WindowCap),
-		scratch:   make([]float64, 0, cfg.WindowCap),
+		win:       newLatWindow(cfg.Window),
 	}
 	switch cfg.Arrivals {
 	case Closed:
@@ -425,30 +423,23 @@ func (s *Service) LatencyPercentile(p float64) float64 {
 }
 
 // WindowPercentile returns the p-th latency percentile in seconds over
-// the sliding window.
+// the sliding window, within 1/128 of the exact one.
 func (s *Service) WindowPercentile(p float64) float64 {
-	xs := s.windowSorted()
-	if len(xs) == 0 {
-		return 0
-	}
-	return stats.PercentileSorted(xs, p)
-}
-
-// windowSorted refreshes the sort scratch from the live window entries.
-func (s *Service) windowSorted() []float64 {
-	s.win.evict(s.now)
-	s.scratch = s.win.appendLatencies(s.scratch[:0])
-	sort.Float64s(s.scratch)
-	return s.scratch
+	ps := [1]float64{p}
+	var q [1]float64
+	s.win.advance(s.now)
+	s.win.total.Quantiles(ps[:], q[:0])
+	return q[0]
 }
 
 // MeanLatency returns the mean completed latency in seconds (RecordAll
-// log when enabled, sliding window otherwise).
+// log when enabled, the sliding window's exact per-slice sums
+// otherwise).
 func (s *Service) MeanLatency() float64 {
 	if s.cfg.RecordAll {
 		return stats.Mean(s.latencies)
 	}
-	s.win.evict(s.now)
+	s.win.advance(s.now)
 	return s.win.mean()
 }
 
@@ -462,17 +453,15 @@ func (s *Service) Throughput() float64 {
 	return float64(s.completed) / sec
 }
 
-// WindowRate returns completions per second over the sliding window.
+// WindowRate returns completions per second over the sliding window,
+// divided by the span its slices actually cover.
 func (s *Service) WindowRate() float64 {
-	s.win.evict(s.now)
-	span := s.cfg.Window
-	if s.now < span {
-		span = s.now
-	}
+	s.win.advance(s.now)
+	span := s.win.covered(s.now)
 	if span <= 0 {
 		return 0
 	}
-	return float64(s.win.count()) / span.Seconds()
+	return float64(s.win.total.Count()) / span.Seconds()
 }
 
 // ResetStats clears the RecordAll latency log (for discarding warm-up)
@@ -482,6 +471,7 @@ func (s *Service) ResetStats() { s.latencies = s.latencies[:0] }
 // ServiceSLO condenses the service's current window into the snapshot
 // telemetry form consumed by core.SLOFeedback.
 func (s *Service) ServiceSLO() core.ServiceSLO {
+	s.win.advance(s.now)
 	out := core.ServiceSLO{
 		Name:     s.cfg.Name,
 		Target:   s.cfg.SLO.Seconds(),
@@ -490,13 +480,14 @@ func (s *Service) ServiceSLO() core.ServiceSLO {
 		Dropped:  s.dropped,
 		Timeouts: s.timedOut,
 	}
-	if xs := s.windowSorted(); len(xs) > 0 {
-		out.P50 = stats.PercentileSorted(xs, 50)
-		out.P90 = stats.PercentileSorted(xs, 90)
-		out.P99 = stats.PercentileSorted(xs, 99)
-	}
+	var q [len(sloPercentiles)]float64
+	s.win.total.Quantiles(sloPercentiles[:], q[:0])
+	out.P50, out.P90, out.P99 = q[0], q[1], q[2]
 	return out
 }
+
+// sloPercentiles are the window percentiles ServiceSLO reports.
+var sloPercentiles = [...]float64{50, 90, 99}
 
 // OfferedLoad estimates the serving pool's utilisation at frequency f:
 // demand rate divided by service capacity. Values near or above 1 mean

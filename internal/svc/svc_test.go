@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -301,29 +302,102 @@ func TestServiceSLOTelemetry(t *testing.T) {
 	}
 }
 
+// TestSlidingWindowForgets drives a service whose first completions
+// all land in the window's first slice, then checks they count until
+// Window has passed and are gone from the percentiles, the mean and the
+// rate once they are older than Window plus one slice.
 func TestSlidingWindowForgets(t *testing.T) {
-	var w latWindow
-	w = newLatWindow(time.Second, 8)
-	w.record(100*time.Millisecond, 5.0) // will age out
-	for i := 0; i < 4; i++ {
-		w.record(2*time.Second+time.Duration(i)*time.Millisecond, 0.01)
+	trace := make([]time.Duration, 0, 40)
+	for i := 0; i < 30; i++ {
+		trace = append(trace, 0) // one burst queued on one core
 	}
-	w.evict(2 * time.Second)
-	if w.count() != 4 {
-		t.Fatalf("window holds %d entries, want 4", w.count())
+	for i := 0; i < 10; i++ {
+		trace = append(trace, 4*time.Second+time.Duration(i+1)*100*time.Millisecond)
 	}
-	xs := w.appendLatencies(nil)
-	for _, x := range xs {
-		if x == 5.0 {
-			t.Error("aged-out sample still in window")
-		}
+	md, err := NewModel(Config{
+		Name: "api", Cores: []int{0}, Seed: 1,
+		Arrivals: OpenTrace, Trace: trace, Window: 2 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Capacity overwrite: 20 more entries at the same time keep only 8.
-	for i := 0; i < 20; i++ {
-		w.record(2*time.Second, 1.0)
+	m := newMachine(t)
+	if err := md.Attach(m); err != nil {
+		t.Fatal(err)
 	}
-	if w.count() != 8 {
-		t.Errorf("window grew to %d past its capacity 8", w.count())
+	s := md.Service("api")
+
+	m.Run(time.Second)
+	if s.Completed() != 30 {
+		t.Fatalf("burst not drained within the first slice: %d of 30 done", s.Completed())
+	}
+	burstP99 := s.WindowPercentile(99)
+	m.Run(time.Second) // now = Window: the burst is still inside
+	if got := s.WindowRate(); got != 15 {
+		t.Errorf("rate at 2 s = %g, want 30 completions / 2 s", got)
+	}
+	if p99 := s.ServiceSLO().P99; p99 != burstP99 || p99 <= 0 {
+		t.Errorf("p99 at 2 s = %g, want the burst's %g", p99, burstP99)
+	}
+
+	m.Run(2 * time.Second) // now = 4 s: every burst sample is ≥ Window + 1 slice old
+	if slo := s.ServiceSLO(); slo.P50 != 0 || slo.P99 != 0 || slo.Rate != 0 {
+		t.Errorf("expired burst still in the window: %+v", slo)
+	}
+	if s.MeanLatency() != 0 || s.WindowPercentile(50) != 0 {
+		t.Errorf("expired burst still in mean %g / p50 %g", s.MeanLatency(), s.WindowPercentile(50))
+	}
+
+	m.Run(2 * time.Second) // ten lone requests at 4.1–5.0 s
+	if s.Completed() != 40 {
+		t.Fatalf("%d of 40 done", s.Completed())
+	}
+	// Slices 4–6 are live at 6 s: the window covers 4 s–6 s.
+	if got := s.WindowRate(); got != 5 {
+		t.Errorf("rate at 6 s = %g, want 10 completions / 2 s", got)
+	}
+	if p99 := s.WindowPercentile(99); p99 <= 0 || p99 >= burstP99/2 {
+		t.Errorf("p99 of lone requests = %g, want well below the burst's %g", p99, burstP99)
+	}
+	if mean, max := s.MeanLatency(), s.WindowPercentile(100); mean <= 0 || mean > max*1.01 {
+		t.Errorf("mean latency %g of lone requests outside (0, max %g]", mean, max)
+	}
+	// Mid-slice the rate divides by the span the slices cover (4 s–6.5 s),
+	// not by Window.
+	m.Run(500 * time.Millisecond)
+	if got := s.WindowRate(); got != 4 {
+		t.Errorf("rate at 6.5 s = %g, want 10 completions / 2.5 s", got)
+	}
+}
+
+// TestWindowCountsEveryCompletion runs 1500 req/s for 12 s and checks
+// the 10 s window holds every completion since its oldest live slice
+// began — far more than a fixed sample cap of a few thousand would.
+func TestWindowCountsEveryCompletion(t *testing.T) {
+	md, err := NewModel(Config{
+		Name: "api", Cores: []int{0, 1, 2, 3}, Seed: 7,
+		Arrivals: OpenPoisson, Rate: ConstantRate(1500), ServiceCycles: 2.5e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := newMachine(t)
+	if err := md.Attach(m); err != nil {
+		t.Fatal(err)
+	}
+	s := md.Service("api")
+	m.Run(2*time.Second - m.Tick())
+	before := s.Completed()
+	m.Run(10*time.Second + m.Tick()) // now = 12 s: slices 2–12 are live
+	want := s.Completed() - before
+	if want < 12000 {
+		t.Fatalf("only %d completions in the last 10 s at 1500 req/s", want)
+	}
+	if got := s.WindowRate() * 10; math.Abs(got-float64(want)) > 1e-6 {
+		t.Errorf("window counts %g completions, want all %d of the last 10 s", got, want)
+	}
+	if mean := s.MeanLatency(); mean <= 0 {
+		t.Errorf("window mean latency %g", mean)
 	}
 }
 
@@ -409,7 +483,9 @@ func TestAdvanceZeroAlloc(t *testing.T) {
 	}
 	m.Run(3 * time.Second) // warm rings, free lists, and windows
 	buf := md.FillServiceSLO(nil)
-	n := testing.AllocsPerRun(200, func() {
+	// 2500 × 1 ms spans 2.5 virtual seconds, so window rotation is
+	// measured too.
+	n := testing.AllocsPerRun(2500, func() {
 		md.Advance(time.Millisecond)
 		buf = md.FillServiceSLO(buf[:0])
 	})
