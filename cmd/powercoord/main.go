@@ -35,8 +35,8 @@
 // RPCs, plan, grant wave) into a constant-memory ring served at
 // /debug/rounds under this tier's round-ID namespace — powerdump -view
 // merged joins the rings of stacked tiers into one cross-tier timeline.
-// Node metrics snapshots piggyback on the status poll and aggregate
-// into fleet rollups at /debug/fleet (rendered by powerctl top), and
+// Nodes' lease-event counts and build identities piggyback on the status
+// poll and aggregate into fleet rollups at /debug/fleet (rendered by powerctl top), and
 // the tier totals are exported on /metrics.
 package main
 

@@ -37,14 +37,14 @@ var (
 	// leaves under rows reached over loopback-HTTP uplinks. The 1024-leaf
 	// flagship (32 rows × 32 leaves) is the thousand-node configuration
 	// the flat coordinator could never poll in one round.
-	hierSizes      = [][2]int{{64, 8}, {256, 16}, {1024, 32}}
-	hierSmokeSizes = [][2]int{{64, 8}}
-	loopCores             = []int{4, 10, 32, 128, 256, 512}
-	loopSmokeCores        = []int{4, 10, 32, 128}
-	ledgerApps            = []int{2, 8, 32, 128}
-	ledgerSmokeApps       = []int{2, 8, 32}
-	svcTickCores          = []int{8, 32, 128}
-	svcTickSmokeCores     = []int{8, 32}
+	hierSizes         = [][2]int{{64, 8}, {256, 16}, {1024, 32}}
+	hierSmokeSizes    = [][2]int{{64, 8}}
+	loopCores         = []int{4, 10, 32, 128, 256, 512}
+	loopSmokeCores    = []int{4, 10, 32, 128}
+	ledgerApps        = []int{2, 8, 32, 128}
+	ledgerSmokeApps   = []int{2, 8, 32}
+	svcTickCores      = []int{8, 32, 128}
+	svcTickSmokeCores = []int{8, 32}
 )
 
 func sizes(all, smokeSubset []int, smoke bool) []int {
@@ -107,13 +107,18 @@ func newBenchNode(name string, limit units.Watts, withLedger bool) (*benchNode, 
 		return nil, err
 	}
 	var led *ledger.Ledger
+	var reg *metrics.Registry
 	if withLedger {
 		if led, err = ledger.New(ledger.Config{Chip: chip, Apps: specs}); err != nil {
 			return nil, err
 		}
+		// The registry powerd shares between daemon and agent: what the
+		// room's fleet poll reads lease events and build identity from.
+		reg = metrics.NewRegistry()
+		metrics.RegisterBuildInfo(reg, "powerd")
 	}
 	d, err := daemon.New(daemon.Config{
-		Chip: chip, Policy: pol, Apps: specs, Limit: limit, Ledger: led,
+		Chip: chip, Policy: pol, Apps: specs, Limit: limit, Ledger: led, Metrics: reg,
 	}, m.Device(), daemon.MachineActuator{M: m})
 	if err != nil {
 		return nil, err
@@ -124,7 +129,7 @@ func newBenchNode(name string, limit units.Watts, withLedger bool) (*benchNode, 
 	m.Run(time.Second) // non-zero power so the node bids
 	agent, err := powerapi.NewAgent(powerapi.AgentConfig{
 		Name: name, Daemon: d, Fallback: limit, PolicyName: "frequency",
-		Ledger: led,
+		Ledger: led, Metrics: reg,
 	})
 	if err != nil {
 		return nil, err
@@ -164,9 +169,10 @@ func phaseWalls(log tracing.Log) map[string]float64 {
 
 // coordinatorEntry benchmarks one coordinator reallocation round over a
 // loopback-HTTP fleet of n nodes. With withLedger every node runs an
-// energy ledger and piggybacks its summary on the status poll, and the
-// coordinator aggregates the fleet energy rollup — the full observability
-// cost a production round pays.
+// energy ledger and a metrics registry, the coordinator polls them as
+// powercoord does — fleet facts attached, delta-encoded status — and
+// aggregates the fleet rollups on its own registry: the full
+// observability cost a production round pays.
 func coordinatorEntry(n int, withLedger bool) (Entry, error) {
 	budget := units.Watts(30 * n)
 	nodes := make([]*benchNode, n)
@@ -178,7 +184,11 @@ func coordinatorEntry(n int, withLedger bool) (Entry, error) {
 			return Entry{}, fmt.Errorf("bench: node %d of %d: %w", i, n, err)
 		}
 		nodes[i] = nd
-		ts[i] = cluster.NewHTTPNode(name, nd.srv.URL, "bench")
+		h := cluster.NewHTTPNode(name, nd.srv.URL, "bench")
+		if withLedger {
+			h.CollectMetrics().DeltaStatus()
+		}
+		ts[i] = h
 	}
 	defer func() {
 		for _, nd := range nodes {
@@ -194,7 +204,10 @@ func coordinatorEntry(n int, withLedger bool) (Entry, error) {
 		Tracer:      tracer,
 	}
 	if withLedger {
-		ccfg.Fleet = cluster.NewFleet(budget, nil)
+		reg := metrics.NewRegistry()
+		metrics.RegisterBuildInfo(reg, "powercoord")
+		ccfg.Metrics = reg
+		ccfg.Fleet = cluster.NewFleet(budget, reg)
 	}
 	c, err := cluster.NewOverTransports(ts, ccfg)
 	if err != nil {
@@ -331,10 +344,10 @@ func HierarchyTrajectory(smoke bool) ([]Entry, error) {
 // over loopback-HTTP node fleets of increasing size: the concurrent
 // status fan-out, the water-fill plan, and the grant wave, with the
 // phase breakdown taken from the round traces the run records. Each
-// fleet size runs twice — bare, and with per-node energy ledgers plus
-// the coordinator's fleet energy rollup — so the ledger's status-poll
-// piggyback cost is pinned in the baseline next to the figure it must
-// not regress.
+// fleet size runs twice — bare, and as powercoord polls powerd (energy
+// ledgers, registries, fleet facts on delta-encoded status, fleet
+// rollups) — so the status-poll piggyback cost is pinned in the
+// baseline next to the figure it must not regress.
 func CoordinatorTrajectory(smoke bool) ([]Entry, error) {
 	var entries []Entry
 	for _, withLedger := range []bool{false, true} {

@@ -119,7 +119,7 @@ type Config struct {
 
 	// Fleet optionally aggregates the reports every round collects —
 	// power against budget, per-app watts, RPC latencies, stragglers,
-	// piggybacked node metrics — into the rollups /debug/fleet serves.
+	// lease churn, versions — into the rollups /debug/fleet serves.
 	Fleet *Fleet
 
 	// now is the coordinator's clock; tests may override it.
@@ -743,20 +743,21 @@ func (c *Coordinator) issueGrants(ctx context.Context, targets []units.Watts, he
 		return nil
 	}
 
-	// stable reports whether a node's lease already says exactly what
-	// this wave would tell it — same cap, same fallback floor, and more
-	// than half its TTL still to run. Renewing it would be a no-op RPC;
-	// in steady state that is every node, so skipping here is what lets
-	// a round over a quiet fleet cost only its status poll. The
-	// half-TTL guard keeps renewals flowing well before expiry when
-	// rounds are slow relative to the TTL.
+	// stable reports whether a node's lease already says what this wave
+	// would tell it — a cap at or just under the target (never above:
+	// SetBudget's commit allows budgetSlack in total, not per child), the
+	// same fallback floor, and over half its TTL still to run. Renewing
+	// it would be a no-op RPC; in steady state that is every node, so
+	// skipping here is what lets a round over a quiet fleet cost only its
+	// status poll. The half-TTL guard keeps renewals flowing well before
+	// expiry when rounds are slow relative to the TTL.
 	stable := func(i int, limit units.Watts) bool {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		d := limit - c.granted[i]
 		f := floor - c.fbGranted[i]
 		return c.granted[i] > 0 &&
-			d <= budgetSlack && d >= -budgetSlack &&
+			d <= budgetSlack && d >= 0 &&
 			f <= budgetSlack && f >= -budgetSlack &&
 			c.cfg.now().Add(c.cfg.LeaseTTL/2).Before(c.leaseUntil[i])
 	}

@@ -256,6 +256,42 @@ func (f *flakyTransport) Grant(_ context.Context, g Grant) error {
 	return nil
 }
 
+// TestShrinkJustBelowGrantsCommits shrinks a 32-child budget by 1e-7 W
+// per child. No child may be skipped as already granted: a cap left
+// even slightly above its target adds up across children, and the
+// commit check allows budgetSlack in total, not per child.
+func TestShrinkJustBelowGrantsCommits(t *testing.T) {
+	const n = 32
+	now := time.Unix(1000, 0)
+	ts := make([]Transport, n)
+	fs := make([]*flakyTransport, n)
+	for i := range ts {
+		fs[i] = &flakyTransport{name: fmt.Sprintf("n%02d", i), power: 50, max: 200}
+		ts[i] = fs[i]
+	}
+	c, err := NewOverTransports(ts, Config{
+		Budget: 100 * n, FloorBudget: 100 * n, LeaseTTL: time.Minute, Retries: -1,
+		now: func() time.Time { return now },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := units.Watts(100*n - n*1e-7)
+	if err := c.SetBudget(context.Background(), b); err != nil {
+		t.Fatalf("shrink by %v W per child: %v", 1e-7, err)
+	}
+	var held units.Watts
+	for _, f := range fs {
+		if f.limit >= 100 {
+			t.Errorf("%s kept cap %v W, want it shrunk below 100 W", f.name, f.limit)
+		}
+		held += f.limit
+	}
+	if c.Budget() != b || held > b+budgetSlack {
+		t.Fatalf("committed %v W with children holding %v W, want %v W", c.Budget(), held, b)
+	}
+}
+
 // TestQuarantineAndReadmission: a node that keeps failing is quarantined;
 // once its lease expires its reservation decays to the floor so the
 // healthy node can absorb the freed budget; and its first good report

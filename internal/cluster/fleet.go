@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,8 +20,7 @@ const EnergyTopK = 5
 
 // NodeObservation is what one reallocation round learned about one node:
 // the transport outcome, the report RPC latency, and the report itself
-// (with its piggybacked status and metrics snapshot when the transport
-// collects them).
+// (with its piggybacked status when the transport carries one).
 type NodeObservation struct {
 	Node   string
 	Err    error
@@ -45,12 +43,12 @@ type fleetNode struct {
 	rpcRes      *stats.Reservoir
 }
 
-// Fleet aggregates per-node status reports and metrics snapshots into
-// room-level rollups: total power against budget, per-app watts, lease
-// churn, round-latency percentiles, straggler ranking, and version
-// skew. The coordinator feeds it one ObserveRound per reallocation
-// round; /debug/fleet and `powerctl top` render Snapshot. All methods
-// are safe for concurrent use and on a nil receiver.
+// Fleet aggregates per-node status reports into room-level rollups:
+// total power against budget, per-app watts, lease churn, round-latency
+// percentiles, straggler ranking, and version skew. The coordinator
+// feeds it one ObserveRound per reallocation round; /debug/fleet and
+// `powerctl top` render Snapshot. All methods are safe for concurrent
+// use and on a nil receiver.
 type Fleet struct {
 	budget units.Watts
 
@@ -339,7 +337,6 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 		Round:        f.round,
 		BudgetWatts:  float64(f.budget),
 		RoundLatency: summarize(f.roundAcc, f.roundRes),
-		LeaseEvents:  map[string]float64{},
 	}
 	apps := map[string]*FleetApp{}
 	energyApps := map[string]*FleetAppEnergy{}
@@ -361,13 +358,19 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 			row.Policy = st.Policy
 			row.Draining = st.Draining
 			row.Lease = st.Lease
-			for k, v := range st.Metrics {
-				if ev, ok := leaseEvent(k); ok {
-					snap.LeaseEvents[ev] += v
+			if ev := st.LeaseEvents; ev != nil {
+				for name, n := range map[string]uint64{"grant": ev.Grant, "renew": ev.Renew,
+					"expire": ev.Expire, "fallback": ev.Fallback, "refuse": ev.Refuse} {
+					if n > 0 {
+						if snap.LeaseEvents == nil {
+							snap.LeaseEvents = map[string]float64{}
+						}
+						snap.LeaseEvents[name] += float64(n)
+					}
 				}
-				if strings.HasPrefix(k, "padpd_build_info{") {
-					versions[k] = true
-				}
+			}
+			if st.Build != nil {
+				versions[st.Build.Series()] = true
 			}
 			for _, app := range st.Apps {
 				a := apps[app.Name]
@@ -503,23 +506,5 @@ func (f *Fleet) Snapshot() FleetSnapshot {
 	}
 	sort.Strings(snap.Versions)
 	snap.MixedVersions = len(snap.Versions) > 1
-	if len(snap.LeaseEvents) == 0 {
-		snap.LeaseEvents = nil
-	}
 	return snap
-}
-
-// leaseEvent extracts the event label from a lease-churn series key,
-// e.g. `powerapi_lease_events_total{event="renew"}` -> "renew".
-func leaseEvent(key string) (string, bool) {
-	const prefix = `powerapi_lease_events_total{event="`
-	if !strings.HasPrefix(key, prefix) {
-		return "", false
-	}
-	rest := strings.TrimPrefix(key, prefix)
-	i := strings.IndexByte(rest, '"')
-	if i < 0 {
-		return "", false
-	}
-	return rest[:i], true
 }

@@ -19,7 +19,7 @@ type HTTPNode struct {
 	client  *powerapi.Client
 	leaseID atomic.Uint64
 
-	// collect attaches the node's metrics snapshot to every report.
+	// collect attaches the fleet fields to every report.
 	collect bool
 
 	// follower, when non-nil, switches status RPCs to the delta-encoded
@@ -42,9 +42,9 @@ func (h *HTTPNode) WithHTTPClient(c *http.Client) *HTTPNode {
 	return h
 }
 
-// CollectMetrics makes every report RPC piggyback the node's metrics
-// snapshot for fleet aggregation. With DeltaStatus the snapshot is one
-// more status field, so only the series that changed travel.
+// CollectMetrics makes every report RPC carry what fleet aggregation
+// reads beyond the control state: the node agent's lease-event counts
+// and build identity (powerapi.NodeStatus.LeaseEvents, Build).
 func (h *HTTPNode) CollectMetrics() *HTTPNode {
 	h.collect = true
 	return h

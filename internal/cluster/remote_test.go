@@ -124,13 +124,8 @@ func TestMetricsResyncAfterSecondPoller(t *testing.T) {
 		fleet.ObserveRound(round, time.Millisecond, []NodeObservation{{Node: "n0", RPC: time.Millisecond, Report: rep}})
 	}
 	registryEvents := func() map[string]float64 {
-		out := map[string]float64{}
-		for k, v := range reg.Values() {
-			if ev, ok := leaseEvent(k); ok {
-				out[ev] = v
-			}
-		}
-		return out
+		events, _ := registryFacts(reg)
+		return events
 	}
 	grant := func(id uint64) {
 		t.Helper()

@@ -166,12 +166,12 @@ func TestMergedTimelineFlagsStraggler(t *testing.T) {
 	if snap.RoundLatency.Samples != rounds {
 		t.Errorf("fleet observed %d rounds, want %d", snap.RoundLatency.Samples, rounds)
 	}
-	// Piggybacked metrics reached the fleet.
+	// Piggybacked lease events reached the fleet.
 	fleet.mu.Lock()
 	defer fleet.mu.Unlock()
 	for _, row := range snap.Nodes {
-		if st := fleet.nodes[row.Name].status; st == nil || len(st.Metrics) == 0 {
-			t.Errorf("node %s has no metrics snapshot", row.Name)
+		if st := fleet.nodes[row.Name].status; st == nil || st.LeaseEvents == nil || st.LeaseEvents.Grant == 0 {
+			t.Errorf("node %s reported no lease events", row.Name)
 		}
 	}
 }

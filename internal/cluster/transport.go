@@ -20,8 +20,8 @@ type Report struct {
 	Max units.Watts
 	// Status carries the node's full status frame when the transport has
 	// one (networked transports piggyback it on the report RPC). Fleet
-	// aggregation reads app shares and metrics from it; the water-fill
-	// never does. Nil for transports that only know power numbers.
+	// aggregation reads app shares, lease events and versions from it;
+	// the water-fill never does. Nil for transports that only know power numbers.
 	Status *powerapi.NodeStatus
 }
 

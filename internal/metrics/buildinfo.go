@@ -53,9 +53,9 @@ func RegisterBuildInfo(r *Registry, component string) {
 	if r == nil {
 		return
 	}
-	r.GaugeVec("padpd_build_info",
+	r.GaugeVec(buildInfoName,
 		"Build and version identity of the process; value is always 1.",
-		"component", "version", "go_version").
+		buildInfoLabels...).
 		With(component, Version(), runtime.Version()).Set(1)
 	start := time.Now()
 	r.Gauge("padpd_start_time_seconds", "Unix time the process started.").
@@ -63,4 +63,43 @@ func RegisterBuildInfo(r *Registry, component string) {
 	r.GaugeFunc("padpd_uptime_seconds", "Seconds since the process started.", func() float64 {
 		return time.Since(start).Seconds()
 	})
+}
+
+const buildInfoName = "padpd_build_info"
+
+var buildInfoLabels = []string{"component", "version", "go_version"}
+
+// BuildInfo is a process's build identity: the label values of its
+// padpd_build_info series.
+type BuildInfo struct {
+	Component string `json:"component"`
+	Version   string `json:"version"`
+	GoVersion string `json:"go_version"`
+}
+
+// Series renders the identity as the padpd_build_info series name
+// /metrics exposes it under.
+func (b BuildInfo) Series() string {
+	return buildInfoName + formatLabels(buildInfoLabels, []string{b.Component, b.Version, b.GoVersion})
+}
+
+// BuildInfo reports the identity RegisterBuildInfo published on r, or
+// nil when none was. Nil-safe.
+func (r *Registry) BuildInfo() *BuildInfo {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	f := r.fams[buildInfoName]
+	r.mu.Unlock()
+	if f == nil {
+		return nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.keys) == 0 {
+		return nil
+	}
+	lv := f.lvals[f.keys[0]]
+	return &BuildInfo{Component: lv[0], Version: lv[1], GoVersion: lv[2]}
 }

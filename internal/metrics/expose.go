@@ -179,10 +179,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // Values flattens the registry into a map from Prometheus series name
 // (name plus rendered label set, e.g. `powerd_actions_total{kind="set_freq"}`)
 // to current value. Counters, gauges, and gauge funcs contribute one
-// entry; histograms contribute their _sum and _count series. This is
-// the snapshot the control plane piggybacks on status reports so the
-// coordinator can aggregate fleet rollups; flat string keys make
-// delta-encoding trivial (send only entries that changed).
+// entry; histograms contribute their _sum and _count series.
 func (r *Registry) Values() map[string]float64 {
 	if r == nil {
 		return nil

@@ -99,7 +99,8 @@ type AgentConfig struct {
 	// itself to rebuild policies on live reconfiguration.
 	PolicyName string
 
-	// Metrics optionally counts control-plane traffic and lease events.
+	// Metrics optionally counts control-plane traffic and lease events;
+	// fleet polls read those counts and the build identity back from it.
 	Metrics *metrics.Registry
 
 	// Flight optionally records every lease transition and
@@ -156,7 +157,7 @@ type Agent struct {
 	timer        *time.Timer
 
 	mRequests *metrics.CounterVec // by endpoint
-	mLease    *metrics.CounterVec // by event: grant, renew, expire, fallback, refuse
+	mLease    leaseCounters
 	mReconfig *metrics.Counter
 	mLeaseW   *metrics.Gauge
 
@@ -221,11 +222,28 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	}
 	if reg := cfg.Metrics; reg != nil {
 		a.mRequests = reg.CounterVec("powerapi_requests_total", "Control-plane requests served, by endpoint.", "endpoint")
-		a.mLease = reg.CounterVec("powerapi_lease_events_total", "Lease state-machine transitions, by event.", "event")
+		ev := reg.CounterVec("powerapi_lease_events_total", "Lease state-machine transitions, by event.", "event")
+		a.mLease = leaseCounters{ev.With("grant"), ev.With("renew"), ev.With("expire"), ev.With("fallback"), ev.With("refuse")}
 		a.mReconfig = reg.Counter("powerapi_reconfigures_total", "Live reconfigurations applied through the control plane.")
 		a.mLeaseW = reg.Gauge("powerapi_lease_limit_watts", "Power cap of the currently-held lease (0 when none).")
 	}
 	return a, nil
+}
+
+// leaseCounters are the agent's powerapi_lease_events_total series,
+// one per event; fleet polls read them back as LeaseEvents.
+type leaseCounters struct {
+	grant, renew, expire, fallback, refuse *metrics.Counter
+}
+
+// events reads the counters, or nil while every count is zero.
+func (c *leaseCounters) events() *LeaseEvents {
+	ev := LeaseEvents{uint64(c.grant.Value()), uint64(c.renew.Value()), uint64(c.expire.Value()),
+		uint64(c.fallback.Value()), uint64(c.refuse.Value())}
+	if ev == (LeaseEvents{}) {
+		return nil
+	}
+	return &ev
 }
 
 // Name reports the node name the agent identifies itself with.
@@ -490,11 +508,11 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusMethodNotAllowed, CodeBadRequest, "status requires GET")
 		return
 	}
-	withMetrics := false
+	fleet := false
 	switch m := r.URL.Query().Get("metrics"); m {
 	case "":
 	case "1":
-		withMetrics = true
+		fleet = true
 	default:
 		writeErr(w, http.StatusBadRequest, CodeBadRequest, "metrics %q, want 1 or unset", m)
 		return
@@ -509,8 +527,9 @@ func (a *Agent) serveStatus(w http.ResponseWriter, r *http.Request) {
 	round := queryRound(r)
 	start := a.cfg.Tracer.Now()
 	st := a.Status()
-	if withMetrics {
-		st.Metrics = a.cfg.Metrics.Values()
+	if fleet {
+		st.LeaseEvents = a.mLease.events()
+		st.Build = a.cfg.Metrics.BuildInfo()
 	}
 	a.traceRound(round, "receive", start)
 	if enc == StatusEncDelta {
@@ -558,14 +577,14 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 	a.mu.Lock()
 	if a.draining {
 		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
+		a.mLease.refuse.Inc()
 		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
 		return &LeaseAck{ID: g.ID, Applied: false, Reason: "draining"},
 			&ErrorReply{Code: CodeDraining, Message: fmt.Sprintf("node %s is draining", a.cfg.Name)}
 	}
 	if limit <= 0 || ttl <= 0 {
 		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
+		a.mLease.refuse.Inc()
 		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
 		return &LeaseAck{ID: g.ID, Applied: false, Reason: "invalid grant"},
 			&ErrorReply{Code: CodeInvalid, Message: fmt.Sprintf("grant limit %v ttl %v", limit, ttl)}
@@ -573,7 +592,7 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 	if a.leaseActive && g.ID < a.leaseID {
 		held := a.leaseID
 		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
+		a.mLease.refuse.Inc()
 		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
 		return &LeaseAck{ID: g.ID, Applied: false, LimitWatts: 0, Reason: "stale lease id"},
 			&ErrorReply{Code: CodeStaleLease, Message: fmt.Sprintf("grant %d older than held lease %d", g.ID, held)}
@@ -606,16 +625,16 @@ func (a *Agent) GrantCtx(ctx context.Context, g *LeaseGrant) (*LeaseAck, error) 
 			a.timer.Stop()
 		}
 		a.mu.Unlock()
-		a.mLease.With("refuse").Inc()
+		a.mLease.refuse.Inc()
 		a.record(flight.KindLease, flight.LeaseRefuse, microwatts(limit), 0)
 		return &LeaseAck{ID: g.ID, Applied: false, Reason: err.Error()},
 			&ErrorReply{Code: CodeInvalid, Message: err.Error()}
 	}
-	event, code := "grant", flight.LeaseGrant
+	event, code := a.mLease.grant, flight.LeaseGrant
 	if renewal {
-		event, code = "renew", flight.LeaseRenew
+		event, code = a.mLease.renew, flight.LeaseRenew
 	}
-	a.mLease.With(event).Inc()
+	event.Inc()
 	a.mLeaseW.Set(float64(limit))
 	a.record(flight.KindLease, code, microwatts(limit), uint64(ttl))
 	return &LeaseAck{ID: g.ID, Applied: true, LimitWatts: float64(limit)}, nil
@@ -637,7 +656,7 @@ func (a *Agent) expire(epoch uint64) {
 	a.leaseActive = false
 	a.mu.Unlock()
 
-	a.mLease.With("expire").Inc()
+	a.mLease.expire.Inc()
 	a.mLeaseW.Set(0)
 	a.record(flight.KindLease, flight.LeaseExpire, microwatts(old), microwatts(old))
 	if fe, ok := a.backend.(FallbackEnforcer); ok {
@@ -646,7 +665,7 @@ func (a *Agent) expire(epoch uint64) {
 		// The old cap stays enforced: safe, just not the fallback.
 		return
 	}
-	a.mLease.With("fallback").Inc()
+	a.mLease.fallback.Inc()
 	a.record(flight.KindLease, flight.LeaseFallback, microwatts(fallback), microwatts(old))
 }
 

@@ -2,6 +2,7 @@ package powerapi_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -30,6 +31,7 @@ type node struct {
 	d       *daemon.Daemon
 	agent   *powerapi.Agent
 	journal *decisions.Journal
+	reg     *metrics.Registry
 	srv     *httptest.Server
 }
 
@@ -79,7 +81,7 @@ func newNode(t *testing.T, name string, limit units.Watts, fallback units.Watts,
 	srv := httptest.NewServer(osrv.Handler())
 	t.Cleanup(srv.Close)
 	t.Cleanup(agent.Close)
-	return &node{m: m, d: d, agent: agent, journal: journal, srv: srv}
+	return &node{m: m, d: d, agent: agent, journal: journal, reg: reg, srv: srv}
 }
 
 func TestStatusOverTheWire(t *testing.T) {
@@ -116,6 +118,48 @@ func TestStatusOverTheWire(t *testing.T) {
 	}
 	if st.Lease != nil {
 		t.Errorf("unsolicited lease: %+v", st.Lease)
+	}
+}
+
+// TestFleetPollSizeIgnoresRegistry checks that a fleet poll carries a
+// fixed set of facts rather than the node's registry: registering 1000
+// more series leaves the ?metrics=1&status=delta frame the same size,
+// while the facts themselves still travel.
+func TestFleetPollSizeIgnoresRegistry(t *testing.T) {
+	n := newNode(t, "n0", 50, 0, nil, 0)
+	metrics.RegisterBuildInfo(n.reg, "powerd")
+	n.m.Run(time.Second)
+	if _, err := n.agent.Grant(&powerapi.LeaseGrant{ID: 1, LimitWatts: 45, TTLMS: 60_000}); err != nil {
+		t.Fatal(err)
+	}
+	frame := func() []byte {
+		t.Helper()
+		resp, err := http.Get(n.srv.URL + powerapi.PathPrefix + "status?metrics=1&status=delta&resync=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	before := frame()
+	for i := 0; i < 1000; i++ {
+		n.reg.Gauge(fmt.Sprintf("extra_series_%04d", i), "An unrelated series.").Set(float64(i))
+	}
+	after := frame()
+	if len(after) != len(before) {
+		t.Fatalf("fleet poll grew from %d to %d bytes with the registry:\n%s", len(before), len(after), after)
+	}
+	msg, err := powerapi.UnmarshalAs(after, powerapi.KindStatusDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := msg.(*powerapi.StatusDelta).Full
+	if st == nil || st.LeaseEvents == nil || st.LeaseEvents.Grant != 1 || st.Build == nil || st.Build.Component != "powerd" {
+		t.Fatalf("fleet facts missing from the poll: %s", after)
 	}
 }
 

@@ -100,8 +100,8 @@ func (c *Client) Status(ctx context.Context) (*NodeStatus, error) {
 	return c.status(ctx, false)
 }
 
-// StatusWithMetrics fetches the node's status with its metrics-registry
-// snapshot attached, for fleet aggregation.
+// StatusWithMetrics fetches the node's status with what fleet
+// aggregation reads attached: lease-event counts and build identity.
 func (c *Client) StatusWithMetrics(ctx context.Context) (*NodeStatus, error) {
 	return c.status(ctx, true)
 }
@@ -117,9 +117,9 @@ func (c *Client) status(ctx context.Context, metrics bool) (*NodeStatus, error) 
 // StatusEncDelta asks the status endpoint for a delta-encoded frame.
 const StatusEncDelta = "delta"
 
-// statusPath builds a status request: metrics attaches the registry
-// snapshot, delta selects the delta-encoded stream, and resync asks
-// that stream for a full frame.
+// statusPath builds a status request: metrics attaches the fleet
+// fields, delta selects the delta-encoded stream, and resync asks that
+// stream for a full frame.
 func statusPath(metrics, delta, resync bool) string {
 	q := url.Values{}
 	if metrics {
@@ -137,10 +137,10 @@ func statusPath(metrics, delta, resync bool) string {
 	return PathPrefix + "status?" + q.Encode()
 }
 
-// StatusDelta fetches one delta-encoded status frame, with the metrics
-// snapshot as one of its fields when metrics is set. resync forces a
-// full frame; use it on first contact and whenever the follower lost
-// sync. Most callers want FollowStatus instead.
+// StatusDelta fetches one delta-encoded status frame, with the fleet
+// fields attached when metrics is set. resync forces a full frame; use
+// it on first contact and whenever the follower lost sync. Most callers
+// want FollowStatus instead.
 func (c *Client) StatusDelta(ctx context.Context, metrics, resync bool) (*StatusDelta, error) {
 	reply, err := c.roundTrip(ctx, http.MethodGet, statusPath(metrics, true, resync), nil, KindStatusDelta)
 	if err != nil {

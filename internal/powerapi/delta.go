@@ -2,7 +2,6 @@ package powerapi
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"strings"
 	"sync"
@@ -37,8 +36,8 @@ type TierStatus struct {
 // StatusDelta is a delta-encoded NodeStatus: only the fields that
 // changed since the revision named by Base travel. It exists because a
 // thousand-node fleet polls status every round, and most of a frame
-// (policy, max watts, app specs, fallback, most metric series) is
-// static round to round.
+// (policy, max watts, app specs, fallback, build identity) is static
+// round to round.
 //
 // The encoding is stateful per server: Rev increments on every frame
 // served and Epoch identifies the server incarnation, so a receiver
@@ -67,23 +66,15 @@ type StatusDelta struct {
 	// Zero and Set are empty.
 	Full *NodeStatus `json:"full,omitempty"`
 
-	// Zero names, by JSON name, the fields to reset to their zero value
-	// before Set applies: fields that became empty, and series maps
-	// that lost a series and so travel whole. An unknown name is
+	// Zero names, by JSON name, the fields that became empty; the
+	// receiver resets them to their zero value. An unknown name is
 	// refused, never skipped.
 	Zero []string `json:"zero,omitempty"`
 
-	// Set carries the changed fields that are not empty; its empty
-	// fields mean "unchanged". A series map in Set (metrics) is merged
-	// into the receiver's map, so a map that only gained or changed
-	// series sends just those series; every other field is replaced.
+	// Set carries the changed fields that are not empty, each replacing
+	// the receiver's whole; its empty fields mean "unchanged".
 	Set *NodeStatus `json:"set,omitempty"`
 }
-
-// series is the map type whose changes travel per entry.
-type series = map[string]float64
-
-var seriesType = reflect.TypeFor[series]()
 
 // statusFieldNames holds the JSON name of each NodeStatus field, by
 // field index, and statusFieldIndex maps a name back to its index;
@@ -104,13 +95,11 @@ var statusFieldNames, statusFieldIndex = func() ([]string, map[string]int) {
 }()
 
 // DiffStatus computes the delta that turns old into new in one walk
-// over the NodeStatus fields. An unchanged field is left out. A series
-// map that kept every series of a non-empty old map sends only its new
-// and changed series. Any other change sends the whole new value in
-// Set, or names the field in Zero when the new value is empty (and
-// also when a series map must be replaced rather than merged).
-// Revision bookkeeping is the caller's to fill in. The frame is
-// addressed to old's node, so even a renamed node's delta applies.
+// over the NodeStatus fields. An unchanged field is left out; a
+// changed one sends its whole new value in Set, or is named in Zero
+// when the new value is empty. Revision bookkeeping is the caller's to
+// fill in. The frame is addressed to old's node, so even a renamed
+// node's delta applies.
 func DiffStatus(old, new *NodeStatus) *StatusDelta {
 	d := &StatusDelta{V: DeltaVersion, Node: old.Node}
 	ov, nv := reflect.ValueOf(old).Elem(), reflect.ValueOf(new).Elem()
@@ -124,50 +113,15 @@ func DiffStatus(old, new *NodeStatus) *StatusDelta {
 	}
 	for i, name := range statusFieldNames {
 		o, n := ov.Field(i), nv.Field(i)
-		if patch, ok := seriesPatch(o, n); ok {
-			if len(patch) > 0 {
-				put(i, reflect.ValueOf(patch))
-			}
-			continue
-		}
-		if sameValue(o, n) {
-			continue
-		}
-		if empty(n) || n.Type() == seriesType {
+		switch {
+		case sameValue(o, n):
+		case empty(n):
 			d.Zero = append(d.Zero, name)
-		}
-		if !empty(n) {
+		default:
 			put(i, n)
 		}
 	}
 	return d
-}
-
-// seriesPatch returns the entries of n that are new or changed against
-// o. ok is false unless both are series maps, o is non-empty, and n
-// kept every key of o — the cases a merge can express.
-func seriesPatch(o, n reflect.Value) (patch series, ok bool) {
-	if o.Kind() != reflect.Map {
-		return nil, false
-	}
-	om, isSeries := o.Interface().(series)
-	if !isSeries || len(om) == 0 {
-		return nil, false
-	}
-	kept := 0
-	for k, v := range n.Interface().(series) {
-		old, had := om[k]
-		if had {
-			kept++
-		}
-		if !had || old != v {
-			if patch == nil {
-				patch = make(series)
-			}
-			patch[k] = v
-		}
-	}
-	return patch, kept == len(om)
 }
 
 // sameValue compares two values of one NodeStatus field.
@@ -193,9 +147,9 @@ func empty(v reflect.Value) bool {
 }
 
 // applyTo folds the frame's changes into st: Zero fields reset, then
-// non-empty Set fields replace st's (series maps merge). New values
-// replace old ones rather than being written into them, so st may
-// share unchanged composites with earlier frames.
+// non-empty Set fields replace st's. New values replace old ones rather
+// than being written into them, so st may share unchanged composites
+// with earlier frames.
 func (d *StatusDelta) applyTo(st *NodeStatus) error {
 	v := reflect.ValueOf(st).Elem()
 	for _, name := range d.Zero {
@@ -210,19 +164,9 @@ func (d *StatusDelta) applyTo(st *NodeStatus) error {
 	}
 	set := reflect.ValueOf(d.Set).Elem()
 	for i := range statusFieldNames {
-		n := set.Field(i)
-		if empty(n) {
-			continue
+		if n := set.Field(i); !empty(n) {
+			v.Field(i).Set(n)
 		}
-		if n.Type() == seriesType {
-			merged := maps.Clone(v.Field(i).Interface().(series))
-			if merged == nil {
-				merged = make(series, n.Len())
-			}
-			maps.Copy(merged, n.Interface().(series))
-			n = reflect.ValueOf(merged)
-		}
-		v.Field(i).Set(n)
 	}
 	return nil
 }

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"reflect"
-	"slices"
 	"sync"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/units"
 )
 
@@ -23,7 +23,6 @@ type stubBackend struct {
 	tier   *TierStatus
 	energy *EnergyStatus
 	slo    *SLOStatus
-	series map[string]float64
 	fail   error
 }
 
@@ -42,7 +41,6 @@ func (b *stubBackend) FillStatus(st *NodeStatus) {
 	}
 	st.Energy = b.energy
 	st.SLO = b.slo
-	st.Metrics = b.series
 }
 
 func (b *stubBackend) SetLimit(_ context.Context, w units.Watts) error {
@@ -136,42 +134,25 @@ func TestDiffStatusApplyRoundTrip(t *testing.T) {
 	slo := func(p99 float64, met bool) *SLOStatus {
 		return &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: p99, TargetMS: 65, Met: met}}}
 	}
+	build := &metrics.BuildInfo{Component: "powerd", Version: "v1", GoVersion: "go1.22"}
 	followFrames(t,
 		&NodeStatus{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 40, MaxWatts: 100, Iterations: 1,
-			Metrics: map[string]float64{"a": 1, "b": 2}},
+			Build: build},
 		&NodeStatus{Node: "n0", Policy: "p", LimitWatts: 50, PowerWatts: 44, MaxWatts: 100, Iterations: 2,
-			Lease:   &LeaseInfo{ID: 1, LimitWatts: 50, TTLMS: 1000, RemainingMS: 900},
-			Apps:    []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 11}},
-			SLO:     slo(50, true),
-			Metrics: map[string]float64{"a": 1, "b": 3, "c": 4}},
+			Lease:       &LeaseInfo{ID: 1, LimitWatts: 50, TTLMS: 1000, RemainingMS: 900},
+			Apps:        []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 11}},
+			SLO:         slo(50, true),
+			LeaseEvents: &LeaseEvents{Grant: 1},
+			Build:       build},
 		&NodeStatus{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 29, MaxWatts: 100, Iterations: 3,
-			Apps:    []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 8}},
-			Energy:  &EnergyStatus{TotalUJ: 12345, TotalJoules: 0.012, Apps: []AppEnergy{{Name: "gcc", TotalUJ: 12000}}},
-			SLO:     slo(90, false),
-			Metrics: map[string]float64{"a": 1}},
+			Apps:        []AppShare{{Name: "gcc", Core: 0, Shares: 90, Watts: 8}},
+			Energy:      &EnergyStatus{TotalUJ: 12345, TotalJoules: 0.012, Apps: []AppEnergy{{Name: "gcc", TotalUJ: 12000}}},
+			SLO:         slo(90, false),
+			LeaseEvents: &LeaseEvents{Grant: 1, Expire: 1, Fallback: 1},
+			Build:       &metrics.BuildInfo{Component: "powerd", Version: "v2", GoVersion: "go1.22"}},
 		&NodeStatus{Node: "n0", Policy: "q", LimitWatts: 30, PowerWatts: 28, MaxWatts: 100, Iterations: 4, Draining: true,
 			Tier: &TierStatus{Tier: "row", Children: 4, Nodes: 4, Depth: 1, BudgetWatts: 120}},
 	)
-}
-
-// TestDiffStatusMetricsPerSeries pins how metrics travel: series that
-// changed or appeared are merged one by one, and a map that lost a
-// series is reset and resent whole.
-func TestDiffStatusMetricsPerSeries(t *testing.T) {
-	a := &NodeStatus{Node: "n0", Metrics: map[string]float64{"x": 1, "y": 2, "z": 3}}
-	b := &NodeStatus{Node: "n0", Metrics: map[string]float64{"x": 1, "y": 5, "z": 3, "w": 6}}
-	c := &NodeStatus{Node: "n0", Metrics: map[string]float64{"x": 1, "y": 5}}
-	d := DiffStatus(a, b)
-	if d.Zero != nil || d.Set == nil || !reflect.DeepEqual(d.Set.Metrics, map[string]float64{"y": 5, "w": 6}) {
-		t.Fatalf("grown map: zero %v set %+v, want only the two changed series", d.Zero, d.Set)
-	}
-	d = DiffStatus(b, c)
-	if !slices.Equal(d.Zero, []string{"metrics"}) || d.Set == nil || !reflect.DeepEqual(d.Set.Metrics, c.Metrics) {
-		t.Fatalf("shrunk map: zero %v set %+v, want the map reset and resent whole", d.Zero, d.Set)
-	}
-	if d = DiffStatus(c, c); d.Set != nil || d.Zero != nil {
-		t.Fatalf("unchanged status produced changes: zero %v set %+v", d.Zero, d.Set)
-	}
 }
 
 // fill sets v, and everything reachable from it, to a non-zero value.
@@ -332,35 +313,47 @@ func TestFollowStatusOverHTTP(t *testing.T) {
 }
 
 // captureDeltaEnvelopes records real frames an agent serves in delta
-// mode, covering per-series metrics merges, a metrics map that loses a
-// series, SLO changes, and composites that appear and disappear.
+// mode to a fleet poll, covering lease counters that change, a build
+// identity that appears and disappears, SLO changes, and composites
+// that appear and disappear.
 func captureDeltaEnvelopes(f *testing.F) [][]byte {
 	f.Helper()
-	be := &stubBackend{limit: 50, power: 42, iters: 1, series: map[string]float64{"a": 1, "b": 2}}
-	a, err := NewAgent(AgentConfig{Name: "n0", Backend: be})
+	be := &stubBackend{limit: 50, power: 42, iters: 1}
+	reg := metrics.NewRegistry()
+	a, err := NewAgent(AgentConfig{Name: "n0", Backend: be, Metrics: reg})
 	if err != nil {
 		f.Fatal(err)
 	}
 	defer a.Close()
 	var out [][]byte
-	add := func(resync bool) {
-		data, err := MarshalRound(a.statusDelta(a.Status(), resync), 7)
+	poll := func(resync, fleet bool) {
+		st := a.Status()
+		if fleet {
+			st.LeaseEvents, st.Build = a.mLease.events(), reg.BuildInfo()
+		}
+		data, err := MarshalRound(a.statusDelta(st, resync), 7)
 		if err != nil {
 			f.Fatal(err)
 		}
 		out = append(out, data)
 	}
+	add := func(resync bool) { poll(resync, true) }
 	change := func(fn func()) {
 		be.mu.Lock()
 		fn()
 		be.mu.Unlock()
 		add(false)
 	}
+	grant := func(id uint64) {
+		if _, err := a.Grant(&LeaseGrant{ID: id, LimitWatts: 40, TTLMS: 60_000}); err != nil {
+			f.Fatal(err)
+		}
+	}
 	add(true) // full resync frame
 	be.set(44, 2)
 	add(false) // scalar delta
-	// Series merged one by one.
-	change(func() { be.series = map[string]float64{"a": 1, "b": 3, "c": 4} })
+	metrics.RegisterBuildInfo(reg, "powerd")
+	add(false) // build identity appears
 	// SLO appears, then misses.
 	change(func() {
 		be.slo = &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 50, TargetMS: 65, Met: true}}}
@@ -368,19 +361,21 @@ func captureDeltaEnvelopes(f *testing.F) [][]byte {
 	change(func() {
 		be.slo = &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 90, TargetMS: 65}}}
 	})
-	// A series lost: the map is reset and resent whole.
-	change(func() { be.series = map[string]float64{"a": 2} })
-	if _, err := a.Grant(&LeaseGrant{ID: 1, LimitWatts: 40, TTLMS: 60_000}); err != nil {
-		f.Fatal(err)
-	}
-	add(false) // lease appears
+	grant(1)
+	add(false) // lease and the grant count appear
+	grant(2)
+	add(false) // renew count
 	change(func() { be.tier = &TierStatus{Tier: "row", Children: 8, Nodes: 64, Depth: 1, BudgetWatts: 400} })
 	if _, err := a.SetDrain(true); err != nil {
 		f.Fatal(err)
 	}
-	add(false) // lease cleared, draining set
-	// Composites disappear.
-	change(func() { be.tier, be.slo, be.series = nil, nil, nil })
+	a.Grant(&LeaseGrant{ID: 3, LimitWatts: 40, TTLMS: 60_000})
+	add(false) // lease cleared, draining set, refuse count
+	// Composites, lease counters and build identity disappear.
+	be.mu.Lock()
+	be.tier, be.slo = nil, nil
+	be.mu.Unlock()
+	poll(false, false)
 	return out
 }
 
@@ -388,10 +383,11 @@ func captureDeltaEnvelopes(f *testing.F) [][]byte {
 // fuzzed frame arrives.
 func fuzzBase(node string) *NodeStatus {
 	return &NodeStatus{Node: node, Policy: "p", LimitWatts: 10,
-		Lease:   &LeaseInfo{ID: 1, LimitWatts: 10, TTLMS: 500},
-		Apps:    []AppShare{{Name: "a", Core: 0}},
-		SLO:     &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 50, Met: true}}},
-		Metrics: map[string]float64{"a": 1, "b": 2}}
+		Lease:       &LeaseInfo{ID: 1, LimitWatts: 10, TTLMS: 500},
+		Apps:        []AppShare{{Name: "a", Core: 0}},
+		SLO:         &SLOStatus{Services: []ServiceSLOStatus{{Name: "web", P99MS: 50, Met: true}}},
+		LeaseEvents: &LeaseEvents{Grant: 1, Renew: 2},
+		Build:       &metrics.BuildInfo{Component: "powerd", Version: "v1", GoVersion: "go1.22"}}
 }
 
 // canonical is a status's wire form, which ignores the nil/empty
@@ -419,14 +415,14 @@ func FuzzStatusDelta(f *testing.F) {
 	mk := func(body string) []byte {
 		return []byte(`{"v":1,"kind":"status_delta","body":` + body + `}`)
 	}
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":5,"base":5,"set":{"power_watts":1}}`))         // stale
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":9,"set":{"power_watts":1}}`))         // gap
-	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":1,"power_watts":1}`))                 // foreign version
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["huh"]}`))                  // unknown zero field
-	f.Add(mk(`{"v":2,"node":"n0","epoch":8,"rev":2,"base":1,"set":{"iterations":3}}`))          // wrong epoch
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["slo","apps"]}`))           // composites emptied
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"set":{"metrics":{"b":5,"c":1}}}`)) // series merged
-	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["metrics"],"set":{"metrics":{"c":1}}}`))
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":5,"base":5,"set":{"power_watts":1}}`)) // stale
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":9,"set":{"power_watts":1}}`)) // gap
+	f.Add(mk(`{"v":1,"node":"n0","epoch":9,"rev":2,"base":1,"power_watts":1}`))         // foreign version
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["huh"]}`))          // unknown zero field
+	f.Add(mk(`{"v":2,"node":"n0","epoch":8,"rev":2,"base":1,"set":{"iterations":3}}`))  // wrong epoch
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["slo","apps"]}`))   // composites emptied
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"set":{"lease_events":{"grant":1,"renew":3,"expire":1},"build":{"component":"powerd","version":"v2","go_version":"go1.24"}}}`))
+	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":2,"base":1,"zero":["build","lease_events"]}`)) // identity and counters gone
 	f.Add(mk(`{"v":2,"node":"n0","epoch":9,"rev":3,"base":2,"full":{"node":"n0"},"set":{"power_watts":4}}`))
 	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{}}`))
 	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{"v":2,"bogus":3}}`))

@@ -29,9 +29,9 @@ func FuzzUnmarshalMessage(f *testing.F) {
 	f.Add([]byte(`{"v":1,"kind":"bogus","body":{}}`))
 	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","apps":[]}}`))
 	f.Add([]byte(`{"v":1,"kind":"drain","body":{"on":true},"round":12345}`))
-	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","metrics":{"x":1}},"round":9}`))
+	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","lease_events":{"grant":1,"refuse":2},"build":{"component":"powerd","version":"v1","go_version":"go1.22"}},"round":9}`))
 	f.Add([]byte(`{"v":1,"kind":"status","body":{"node":"n","slo":{"services":[{"name":"web","p50_ms":9,"p90_ms":20,"p99_ms":70,"target_ms":65,"rate":300,"queue_len":4,"met":false}]}}}`))
-	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{"v":2,"node":"n","epoch":3,"rev":5,"base":4,"zero":["slo","apps"],"set":{"metrics":{"x":2}}}}`))
+	f.Add([]byte(`{"v":1,"kind":"status_delta","body":{"v":2,"node":"n","epoch":3,"rev":5,"base":4,"zero":["slo","apps","build"],"set":{"lease_events":{"grant":1,"renew":2}}}}`))
 	f.Add([]byte(`{"v":1,"kind":"drain","body":{"on":true},"future_field":{"deep":[1,2]}}`))
 	f.Add([]byte(`{"v":1,"kind":"heartbeat","body":{"node":"n"},"round":-1}`))
 	f.Add([]byte(`{`))

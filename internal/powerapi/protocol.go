@@ -25,6 +25,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/metrics"
 )
 
 // Version is the protocol version both sides must speak.
@@ -86,10 +88,11 @@ type NodeStatus struct {
 	Lease         *LeaseInfo `json:"lease,omitempty"`
 	Apps          []AppShare `json:"apps,omitempty"`
 
-	// Metrics carries the node's metrics-registry snapshot for fleet
-	// aggregation when the poll asks for it (?metrics=1). On the delta
-	// stream, series that changed travel per series.
-	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// LeaseEvents and Build are what fleet rollups read beyond the
+	// control state (lease churn, version skew), attached when the poll
+	// asks (?metrics=1). The full registry stays on the node's /metrics.
+	LeaseEvents *LeaseEvents       `json:"lease_events,omitempty"`
+	Build       *metrics.BuildInfo `json:"build,omitempty"`
 
 	// Energy carries the node's energy-ledger summary when the daemon
 	// runs one, so the coordinator can roll up fleet-wide joules, cost,
@@ -104,6 +107,16 @@ type NodeStatus struct {
 	// Tier is set when this "node" is a mid-tier coordinator (a row or
 	// building) reporting its whole subtree as one synthetic node.
 	Tier *TierStatus `json:"tier,omitempty"`
+}
+
+// LeaseEvents counts a node agent's lease state-machine transitions:
+// its powerapi_lease_events_total series, one field per event label.
+type LeaseEvents struct {
+	Grant    uint64 `json:"grant,omitempty"`
+	Renew    uint64 `json:"renew,omitempty"`
+	Expire   uint64 `json:"expire,omitempty"`
+	Fallback uint64 `json:"fallback,omitempty"`
+	Refuse   uint64 `json:"refuse,omitempty"`
 }
 
 // SLOStatus is a node's per-service latency and SLO-attainment view.

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // sampleMessages is one populated instance of every message kind —
@@ -15,15 +17,16 @@ func sampleMessages() []any {
 		&NodeStatus{
 			Node: "n0", Policy: "frequency-shares", LimitWatts: 42.5, PowerWatts: 39.1,
 			MaxWatts: 85, FallbackWatts: 25, Iterations: 17, Draining: true,
-			Lease:   &LeaseInfo{ID: 9, Coordinator: "coord", LimitWatts: 42.5, TTLMS: 1500, RemainingMS: 900},
-			Apps:    []AppShare{{Name: "gcc", Core: 0, Shares: 90, Priority: "hp", Watts: 3.25}, {Name: "cam4", Core: 1, Shares: 10, Priority: "lp"}},
-			Metrics: map[string]float64{"powerd_iterations_total": 17, `powerapi_lease_events_total{event="grant"}`: 2},
+			Lease:       &LeaseInfo{ID: 9, Coordinator: "coord", LimitWatts: 42.5, TTLMS: 1500, RemainingMS: 900},
+			Apps:        []AppShare{{Name: "gcc", Core: 0, Shares: 90, Priority: "hp", Watts: 3.25}, {Name: "cam4", Core: 1, Shares: 10, Priority: "lp"}},
+			LeaseEvents: &LeaseEvents{Grant: 2, Renew: 15},
+			Build:       &metrics.BuildInfo{Component: "powerd", Version: "v1", GoVersion: "go1.22"},
 		},
 		&StatusDelta{
-			V: DeltaVersion, Node: "row0", Epoch: 7, Rev: 12, Base: 11, Zero: []string{"lease"},
+			V: DeltaVersion, Node: "row0", Epoch: 7, Rev: 12, Base: 11, Zero: []string{"lease", "build"},
 			Set: &NodeStatus{PowerWatts: 38.5, Iterations: 18,
-				Tier:    &TierStatus{Tier: "row", Children: 8, Nodes: 64, Depth: 1, BudgetWatts: 400},
-				Metrics: map[string]float64{"powerd_iterations_total": 18}},
+				Tier:        &TierStatus{Tier: "row", Children: 8, Nodes: 64, Depth: 1, BudgetWatts: 400},
+				LeaseEvents: &LeaseEvents{Grant: 2, Renew: 16, Expire: 1}},
 		},
 		&LeaseGrant{ID: 10, Coordinator: "coord", LimitWatts: 40, TTLMS: 1500, FallbackWatts: 25},
 		&LeaseAck{ID: 10, Applied: true, LimitWatts: 40},
